@@ -140,17 +140,16 @@ int main(int argc, char** argv) {
   const bool flat = flatness <= 2.0;
 
   // Deterministic policy grading: the same seeded trace through the whole
-  // family. The adaptive policy must beat its static inner policy
-  // (weighted-share) on miss rate — that is what "learning from goal-miss
+  // family. The adaptive policy must beat the static weighted fill it
+  // boosts (weighted-share) on miss rate — that is what "learning from goal-miss
   // history" buys.
   const std::vector<DemandRound> trace =
       demand_trace(/*seed=*/42, /*tenants=*/6, /*rounds=*/200, /*budget=*/16);
   DeadlinePressurePolicy pressure;
   WeightedSharePolicy weighted;
-  GroupedArbitrationPolicy grouped;
   AdaptiveWeightPolicy adaptive;
   const std::vector<PolicyQuality> ranked =
-      rank_policies({&pressure, &weighted, &grouped, &adaptive}, 16, trace);
+      rank_policies({&pressure, &weighted, &adaptive}, 16, trace);
   double adaptive_miss = 1.0, weighted_miss = 1.0;
   for (const PolicyQuality& q : ranked) {
     if (q.policy == "adaptive-weight") adaptive_miss = q.miss_rate;

@@ -43,11 +43,13 @@ void DeadlinePressurePolicy::arbitrate(int budget,
 
 namespace {
 
-/// Shared water-fill core: floors one unit at a time in descending
-/// (weight, pressure, order) priority, then repeatedly +1 to the unsatisfied
-/// item with the lowest grant/weight ratio (ties toward higher pressure, then
-/// earlier order), so steady-state grants are proportional to weight, capped
-/// at desired. Returns the unspent remainder.
+/// The water-fill: floors one unit at a time in descending (weight,
+/// pressure, order) priority — when the budget cannot cover one thread
+/// each, the heavier classes win — then repeatedly +1 to the unsatisfied
+/// item with the lowest grant/weight ratio (ties toward higher pressure,
+/// then earlier order), so steady-state grants converge to budget * weight /
+/// total_weight, capped at desired (the freed share flows to the rest).
+/// O(budget * items) — both are small. Returns the unspent remainder.
 struct FillItem {
   int desired = 0;
   int weight = 1;
@@ -97,51 +99,9 @@ int water_fill(int budget, const std::vector<FillItem>& items,
 void WeightedSharePolicy::arbitrate(int budget,
                                     const std::vector<TenantDemand>& demands,
                                     std::vector<int>& grants) const {
-  // Floors in weight order (ties: pressure, then registration order) — when
-  // the budget cannot even cover one thread each, the heavier classes win.
-  std::vector<std::size_t> order(demands.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     if (demands[a].weight != demands[b].weight) {
-                       return demands[a].weight > demands[b].weight;
-                     }
-                     return demands[a].pressure > demands[b].pressure;
-                   });
-  int remaining = budget;
-  for (const std::size_t i : order) {
-    if (remaining == 0) break;
-    grants[i] = 1;
-    --remaining;
-  }
-  // Water-fill one thread at a time to the unsatisfied tenant with the
-  // lowest grant/weight ratio: steady-state grants converge to
-  // budget * weight / total_weight, capped at desired (the freed share then
-  // flows to the remaining classes). O(budget * tenants) — both are small.
-  while (remaining > 0) {
-    std::size_t pick = demands.size();
-    double pick_ratio = 0.0;
-    for (const std::size_t i : order) {
-      if (grants[i] >= std::min(demands[i].desired, budget)) continue;
-      const double ratio = static_cast<double>(grants[i]) /
-                           static_cast<double>(std::max(1, demands[i].weight));
-      if (pick == demands.size() || ratio < pick_ratio) {
-        pick = i;
-        pick_ratio = ratio;
-      }
-    }
-    if (pick == demands.size()) break;  // everyone capped at desired
-    ++grants[pick];
-    --remaining;
-  }
-}
-
-void GroupedArbitrationPolicy::arbitrate(
-    int budget, const std::vector<TenantDemand>& demands,
-    std::vector<int>& grants) const {
   // Level 1 — group the demand rows. A real group (id > 0) aggregates its
   // members; an ungrouped tenant is its own singleton group carrying its
-  // tenant weight, so all-ungrouped vectors reduce to WeightedSharePolicy.
+  // tenant weight, so an all-ungrouped vector is one flat weighted fill.
   struct Group {
     std::vector<std::size_t> members;
     FillItem item;  // desired = sum of member desired, weight = group weight
@@ -197,11 +157,7 @@ void GroupedArbitrationPolicy::arbitrate(
 AdaptiveWeightPolicy::AdaptiveWeightPolicy()
     : AdaptiveWeightPolicy(Config{}) {}
 
-AdaptiveWeightPolicy::AdaptiveWeightPolicy(
-    Config cfg, std::unique_ptr<ArbitrationPolicy> inner)
-    : cfg_(cfg),
-      inner_(inner != nullptr ? std::move(inner)
-                              : std::make_unique<WeightedSharePolicy>()) {}
+AdaptiveWeightPolicy::AdaptiveWeightPolicy(Config cfg) : cfg_(cfg) {}
 
 void AdaptiveWeightPolicy::arbitrate(int budget,
                                      const std::vector<TenantDemand>& demands,
@@ -224,14 +180,12 @@ void AdaptiveWeightPolicy::arbitrate(int budget,
     }
     b = std::clamp(b, 1.0, std::max(1.0, cfg_.max_boost));
     next.emplace(d.tenant, b);
+    // Grouped tenants keep their group's weight: the boost shifts shares
+    // within the group only.
     d.weight = std::max(1, static_cast<int>(std::lround(d.weight * b)));
-    // An ungrouped tenant's group weight IS its tenant weight; grouped
-    // tenants keep their group's weight and the boost shifts shares within
-    // the group only.
-    if (d.group == 0) d.group_weight = d.weight;
   }
   boosts_ = std::move(next);
-  inner_->arbitrate(budget, boosted, grants);
+  weighted_.arbitrate(budget, boosted, grants);
 }
 
 double AdaptiveWeightPolicy::boost(int tenant) const {

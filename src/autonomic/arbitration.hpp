@@ -7,30 +7,27 @@
 // arbitration.
 //
 // A policy is a deterministic function of the demand vector, unit-testable
-// without threads. Four ship:
+// without threads. Three ship:
 //  * DeadlinePressurePolicy — PR 2's behavior, verbatim: 1-thread floor in
 //    pressure order while the budget lasts, then top-up toward each tenant's
 //    desired LP, widest relative goal miss first;
-//  * WeightedSharePolicy — SLA classes: floors by weight, then water-fill one
-//    thread at a time to the tenant with the lowest grant/weight ratio, so
-//    steady-state grants are proportional to weight (capped at desired, with
-//    leftovers redistributed). Unlike pressure, a tenant cannot game it by
-//    inflating its own reported miss.
-//  * GroupedArbitrationPolicy — hierarchical: the budget is water-filled
-//    across tenant GROUPS by group weight first, then each group's share is
-//    water-filled among its members by member weight (pressure breaks ties).
-//    An ungrouped tenant (group 0) is its own singleton group weighted by its
-//    tenant weight, so an all-ungrouped demand vector arbitrates exactly like
-//    WeightedSharePolicy — the ungrouped path is unchanged by construction.
-//  * AdaptiveWeightPolicy — nudges per-tenant effective weights from goal-miss
-//    history (pressure > 0 across consecutive arbitrations boosts a tenant's
-//    weight, slack decays it back to the configured base) and delegates to an
-//    inner policy (default WeightedSharePolicy). Deterministic: the boost
+//  * WeightedSharePolicy — SLA classes, hierarchical: the budget is
+//    water-filled across tenant GROUPS by group weight first, then each
+//    group's share among its members by member weight. An ungrouped tenant
+//    (group 0) is its own singleton group carrying its tenant weight, so
+//    ungrouped tenants get floors by weight, then one thread at a time to
+//    the lowest grant/weight ratio: steady-state grants are proportional to
+//    weight (capped at desired, with leftovers redistributed). Unlike
+//    pressure, a tenant cannot game it by inflating its own reported miss.
+//  * AdaptiveWeightPolicy — nudges per-tenant effective weights from
+//    goal-miss history (pressure > 0 across consecutive arbitrations boosts
+//    a tenant's weight, slack decays it back to the configured base) and
+//    arbitrates through a WeightedSharePolicy. Deterministic: the boost
 //    table is a pure function of the arbitrate() call sequence. The only
 //    stateful member — the coordinator serializes arbitrations under its
 //    lock, which is the thread-safety the mutable state relies on.
 //
-// DeadlinePressure / WeightedShare / Grouped are pure and stateless.
+// DeadlinePressure / WeightedShare are pure and stateless.
 
 #include <memory>
 #include <string>
@@ -47,7 +44,7 @@ struct TenantDemand {
   int weight = 1;         // SLA class weight (>= 1; WeightedSharePolicy)
   int current_grant = 0;  // the grant going into this arbitration
   int group = 0;          // hierarchical group id (0 = ungrouped)
-  int group_weight = 1;   // the group's weight (== weight when ungrouped)
+  int group_weight = 1;   // the group's weight (read only when group > 0)
 };
 
 class ArbitrationPolicy {
@@ -67,6 +64,11 @@ class DeadlinePressurePolicy final : public ArbitrationPolicy {
                  std::vector<int>& grants) const override;
 };
 
+/// Two-level water-fill: budget across groups by group weight, then within
+/// each group by member weight (ties toward higher pressure, then demand
+/// order). Group weights arrive on the demand rows (`group_weight`, filled by
+/// the coordinator from its group table); an inconsistent vector — two rows
+/// of one group disagreeing — resolves to the first row's value.
 class WeightedSharePolicy final : public ArbitrationPolicy {
  public:
   std::string name() const override { return "weighted-share"; }
@@ -74,20 +76,8 @@ class WeightedSharePolicy final : public ArbitrationPolicy {
                  std::vector<int>& grants) const override;
 };
 
-/// Two-level water-fill: budget across groups by group weight, then within
-/// each group by member weight (ties toward higher pressure, then demand
-/// order). Group weights arrive on the demand rows (`group_weight`, filled by
-/// the coordinator from its group table); an inconsistent vector — two rows
-/// of one group disagreeing — resolves to the first row's value.
-class GroupedArbitrationPolicy final : public ArbitrationPolicy {
- public:
-  std::string name() const override { return "grouped-weighted"; }
-  void arbitrate(int budget, const std::vector<TenantDemand>& demands,
-                 std::vector<int>& grants) const override;
-};
-
-/// Learns per-tenant weight boosts from goal-miss history and delegates to
-/// `inner` (default WeightedSharePolicy) with the boosted weights. A tenant
+/// Learns per-tenant weight boosts from goal-miss history and arbitrates
+/// through a WeightedSharePolicy with the boosted weights. A tenant
 /// arbitrated with pressure above `miss_threshold` gains `step * pressure`
 /// boost (clamped to [1, max_boost]); one arbitration at or below the
 /// threshold decays it by `decay` toward 1. Boosts for tenants absent from a
@@ -103,8 +93,7 @@ class AdaptiveWeightPolicy final : public ArbitrationPolicy {
   };
 
   AdaptiveWeightPolicy();
-  explicit AdaptiveWeightPolicy(
-      Config cfg, std::unique_ptr<ArbitrationPolicy> inner = nullptr);
+  explicit AdaptiveWeightPolicy(Config cfg);
 
   std::string name() const override { return "adaptive-weight"; }
   void arbitrate(int budget, const std::vector<TenantDemand>& demands,
@@ -116,7 +105,7 @@ class AdaptiveWeightPolicy final : public ArbitrationPolicy {
 
  private:
   Config cfg_;
-  std::unique_ptr<ArbitrationPolicy> inner_;
+  WeightedSharePolicy weighted_;
   // Updated inside const arbitrate(): the policy contract runs arbitrations
   // serialized under the coordinator's lock, never concurrently.
   mutable std::unordered_map<int, double> boosts_;

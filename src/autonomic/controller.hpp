@@ -69,7 +69,7 @@ class AutonomicController {
   void set_sla_weight(int weight);
 
   /// Hierarchical tenant group (>= 1; 0 = ungrouped, the default) forwarded
-  /// to the coordinator's GroupedArbitrationPolicy. Same rules as the SLA
+  /// to the coordinator's WeightedSharePolicy. Same rules as the SLA
   /// weight: a no-op while unbound, forwarded at bind time when set earlier.
   void set_tenant_group(int group);
 

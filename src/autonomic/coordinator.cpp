@@ -362,10 +362,10 @@ void LpBudgetCoordinator::arbitrate_locked() {
   ents.reserve(n);
   demands.reserve(n);
   for (auto& [id, a] : active_) {
-    int gw = a.weight;
+    int gw = 1;  // the policy reads it only for a grouped tenant
     if (a.group > 0) {
       const auto it = group_weights_.find(a.group);
-      gw = it == group_weights_.end() ? 1 : it->second;
+      if (it != group_weights_.end()) gw = it->second;
     }
     ids.push_back(id);
     ents.push_back(&a);

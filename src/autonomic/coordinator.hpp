@@ -25,10 +25,9 @@
 //    holds even against direct set_target_lp callers;
 //  * contested LP is split by the pluggable ArbitrationPolicy (default:
 //    DeadlinePressurePolicy — widest relative goal miss first with a
-//    1-thread floor; WeightedSharePolicy splits by SLA-class weight;
-//    GroupedArbitrationPolicy adds hierarchical groups — budget across
-//    groups by group weight, water-fill within; AdaptiveWeightPolicy nudges
-//    weights from goal-miss history);
+//    1-thread floor; WeightedSharePolicy splits by SLA-class weight,
+//    hierarchically — budget across groups by group weight, water-fill
+//    within; AdaptiveWeightPolicy nudges weights from goal-miss history);
 //  * every grant change is ALSO installed into the pool's per-tenant grant
 //    vector (batched through `set_tenant_grants`), which drives the pool's
 //    weighted dispatch — grants are scheduling isolation, not just planning
@@ -128,15 +127,15 @@ class LpBudgetCoordinator {
   int tenant_weight(int tenant) const;
 
   /// Hierarchical group membership (group >= 1; 0 = ungrouped, the default).
-  /// Under GroupedArbitrationPolicy the budget is split across groups by
+  /// Under WeightedSharePolicy the budget is split across groups by
   /// group weight first, then within the group by tenant weight. Like the
   /// tenant weight: survives release/re-arm, reset on unregister,
   /// re-arbitrates immediately when armed.
   void set_tenant_group(int tenant, int group);
   int tenant_group(int tenant) const;
 
-  /// Weight of a group (>= 1, default 1), used by GroupedArbitrationPolicy
-  /// for the cross-group split. Setting it re-arbitrates.
+  /// Weight of a group (>= 1, default 1), used by WeightedSharePolicy for
+  /// the cross-group split. Setting it re-arbitrates.
   void set_group_weight(int group, int weight);
   int group_weight(int group) const;
 

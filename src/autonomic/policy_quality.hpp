@@ -9,8 +9,8 @@
 // scored: how often did a pressured tenant come up short, how far short, and
 // how much did grants churn round to round. Identical seeds give identical
 // traces and therefore an identical score per policy, so tests can anchor on
-// the ranking (the adaptive policy must beat its static inner policy on miss
-// rate for the default trace) without any tolerance games.
+// the ranking (the adaptive policy must beat the weighted fill it boosts on
+// miss rate for the default trace) without any tolerance games.
 //
 // Pressure feedback: a tenant granted less than it desired while pressured
 // stays pressured next round (its backlog did not clear); a fully granted

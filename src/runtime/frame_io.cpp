@@ -4,6 +4,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -29,40 +31,30 @@ bool write_full(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-bool read_full(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t at = 0;
-  while (at < size) {
-    const ssize_t n = ::read(fd, data + at, size - at);
-    if (n > 0) {
-      at += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;  // EOF or hard error
-  }
-  return true;
-}
-
 namespace {
 
-/// Read exactly `size` bytes before `deadline`, polling with the REMAINING
-/// time each iteration (the deadline never re-arms — a trickling peer
-/// cannot extend the total wait). `*consumed` counts bytes read so the
-/// caller can tell a clean timeout from a mid-frame stall.
-enum class FillResult { kDone, kTimeout, kClosed };
+using Deadline = std::chrono::steady_clock::time_point;
 
-FillResult read_until_deadline(
-    int fd, std::uint8_t* data, std::size_t size,
-    std::chrono::steady_clock::time_point deadline, std::size_t* consumed) {
-  std::size_t at = 0;
+Deadline deadline_after(Duration d) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(std::max(0.0, d)));
+}
+
+/// Fill `data[at, size)` before `deadline`, polling with the REMAINING
+/// time before each read (the deadline never re-arms — a trickling peer
+/// cannot extend the total wait). kFrame once all `size` bytes are in; a
+/// timeout with nothing consumed is a clean kTimeout, one after a partial
+/// read a kMidFrameStall.
+ReadResult read_until_deadline(int fd, std::uint8_t* data, std::size_t size,
+                               Deadline deadline, std::size_t at = 0) {
   while (at < size) {
     const double remaining_s =
         std::chrono::duration<double>(deadline -
                                       std::chrono::steady_clock::now())
             .count();
     if (remaining_s <= 0.0) {
-      *consumed += at;
-      return FillResult::kTimeout;
+      return at == 0 ? ReadResult::kTimeout : ReadResult::kMidFrameStall;
     }
     struct pollfd pfd;
     pfd.fd = fd;
@@ -79,11 +71,43 @@ FillResult read_until_deadline(
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    *consumed += at;
-    return FillResult::kClosed;  // EOF: the peer went away
+    return ReadResult::kClosed;  // EOF: the peer went away
   }
-  *consumed += at;
-  return FillResult::kDone;
+  return ReadResult::kFrame;
+}
+
+/// One frame header before `deadline`, decoded, with a payload length past
+/// the protocol ceiling rejected as garbage (never an allocation request).
+/// `buf` may already hold the header's first `have` bytes.
+ReadResult read_header(int fd, Deadline deadline, WireFrameBytes& buf,
+                       std::size_t have, WireFrame& out) {
+  const ReadResult r =
+      read_until_deadline(fd, buf.data(), buf.size(), deadline, have);
+  if (r != ReadResult::kFrame) return r;
+  if (!decode_frame(buf.data(), buf.size(), out)) return ReadResult::kGarbage;
+  if (frame_has_payload(out.type) && out.b > kMaxNamedPayload) {
+    return ReadResult::kGarbage;
+  }
+  return ReadResult::kFrame;
+}
+
+/// The `size` payload bytes that follow a header, before `deadline`. The
+/// header is already consumed, so any timeout is a mid-frame stall.
+ReadResult read_payload(int fd, Deadline deadline, std::uint8_t* data,
+                        std::size_t size) {
+  const ReadResult r = read_until_deadline(fd, data, size, deadline);
+  return r == ReadResult::kTimeout ? ReadResult::kMidFrameStall : r;
+}
+
+std::size_t payload_size(const WireFrame& f) {
+  return frame_has_payload(f.type) ? static_cast<std::size_t>(f.b) : 0;
+}
+
+bool send_frame(int fd, const WireFrame& f,
+                const std::uint8_t* payload = nullptr, std::size_t size = 0) {
+  const WireFrameBytes bytes = encode_frame(f);
+  return write_full(fd, bytes.data(), bytes.size()) &&
+         (size == 0 || write_full(fd, payload, size));
 }
 
 }  // namespace
@@ -93,45 +117,77 @@ ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
   if (fd < 0) return ReadResult::kClosed;
   // The deadline anchors HERE, once: the header read, the decode and the
   // payload read all spend from the same budget.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(std::max(0.0, timeout)));
-  std::uint8_t buf[kWireFrameSize];
-  std::size_t consumed = 0;
-  switch (read_until_deadline(fd, buf, kWireFrameSize, deadline, &consumed)) {
-    case FillResult::kDone:
-      break;
-    case FillResult::kTimeout:
-      // Nothing consumed is just "no frame"; a timeout MID-frame means the
-      // byte stream is desynced for good.
-      return consumed == 0 ? ReadResult::kTimeout : ReadResult::kMidFrameStall;
-    case FillResult::kClosed:
-      return ReadResult::kClosed;
-  }
-  if (!decode_frame(buf, kWireFrameSize, out)) return ReadResult::kGarbage;
-  if (!frame_has_payload(out.type)) {
-    if (payload != nullptr) payload->clear();
-    return ReadResult::kFrame;
-  }
-  // Variable payload: `b` carries the byte count. An advertised length past
-  // the protocol ceiling is a poisoned link, never an allocation request.
-  if (out.b > kMaxNamedPayload) return ReadResult::kGarbage;
+  const Deadline deadline = deadline_after(timeout);
+  WireFrameBytes buf{};
+  const ReadResult header = read_header(fd, deadline, buf, 0, out);
+  if (header != ReadResult::kFrame) return header;
   std::vector<std::uint8_t> scratch;
-  std::vector<std::uint8_t>* dst = payload != nullptr ? payload : &scratch;
-  dst->assign(static_cast<std::size_t>(out.b), 0);
-  if (out.b == 0) return ReadResult::kFrame;
-  consumed = 0;
-  switch (read_until_deadline(fd, dst->data(), dst->size(), deadline,
-                              &consumed)) {
-    case FillResult::kDone:
-      return ReadResult::kFrame;
-    case FillResult::kTimeout:
-      return ReadResult::kMidFrameStall;  // header without payload = desync
-    case FillResult::kClosed:
-      return ReadResult::kClosed;
+  std::vector<std::uint8_t>& dst = payload != nullptr ? *payload : scratch;
+  dst.assign(payload_size(out), 0);
+  if (dst.empty()) return ReadResult::kFrame;
+  return read_payload(fd, deadline, dst.data(), dst.size());
+}
+
+void serve(int fd, std::uint32_t worker, std::uint64_t pid,
+           int crash_after_tasks, const NamedHandler& named) {
+  // Hello first: the pool's try_connect waits for it before declaring the
+  // join complete.
+  if (!send_frame(fd, WireFrame{WireFrameType::kHello, worker, 0, pid, 0})) {
+    return;
   }
-  return ReadResult::kClosed;
+  std::array<std::uint8_t, kMaxNamedPayload> arg{};
+  std::vector<std::uint8_t> result;  // only a NamedHandler ever fills it
+  int tasks = 0;
+  for (;;) {
+    // The wait for a frame's first byte is a blocking read with no
+    // deadline; it ends with EOF when the pool goes away or the owner shuts
+    // the socket down. The rest of the frame gets a fixed deadline from
+    // that byte on, so a payload written in a second send() is never
+    // mistaken for a torn frame.
+    WireFrameBytes head{};
+    ssize_t got;
+    do {
+      got = ::read(fd, head.data(), head.size());
+    } while (got < 0 && errno == EINTR);
+    if (got <= 0) return;  // EOF: the pool left, or the owner shut fd down
+    const Deadline deadline = deadline_after(kServeFrameDeadline);
+    WireFrame f;
+    if (read_header(fd, deadline, head, static_cast<std::size_t>(got), f) !=
+        ReadResult::kFrame) {
+      return;
+    }
+    const std::size_t size = payload_size(f);
+    if (size > 0 &&
+        read_payload(fd, deadline, arg.data(), size) != ReadResult::kFrame) {
+      return;  // EOF, stall or garbage: the stream is gone
+    }
+    WireFrame reply{WireFrameType::kComplete, f.worker, f.seq, 0, 0};
+    result.clear();
+    switch (f.type) {
+      case WireFrameType::kSubmit:
+        // Crash hook: die BETWEEN Submit and Complete, so the pool holds an
+        // open lease and must recover it off the EOF.
+        if (crash_after_tasks > 0 && ++tasks >= crash_after_tasks) return;
+        break;
+      case WireFrameType::kHeartbeat:
+        reply.type = WireFrameType::kHeartbeatAck;
+        break;
+      case WireFrameType::kSubmitNamed:
+        reply.type = WireFrameType::kResultNamed;
+        reply.a = static_cast<std::uint64_t>(
+            named ? named(f.a, arg.data(), size, result)
+                  : NamedStatus::kUnsupported);
+        reply.b = result.size();
+        break;
+      case WireFrameType::kRetire:
+        reply.type = WireFrameType::kRetired;
+        send_frame(fd, reply);  // best effort
+        return;
+      default:
+        continue;  // advisory (kStealHint) or pool-bound: ignore
+    }
+    if (!send_frame(fd, reply, result.data(), result.size())) return;
+  }
 }
 
 }  // namespace frame_io
@@ -149,9 +205,7 @@ bool FdTransport::send(const WireFrame& f, const std::uint8_t* payload,
                        std::size_t size) {
   std::lock_guard lock(mu_);
   if (fd_ < 0) return false;
-  const WireFrameBytes bytes = encode_frame(f);
-  if (!frame_io::write_full(fd_, bytes.data(), bytes.size()) ||
-      (size > 0 && !frame_io::write_full(fd_, payload, size))) {
+  if (!frame_io::send_frame(fd_, f, payload, size)) {
     alive_.store(false, std::memory_order_release);
     return false;
   }

@@ -1,6 +1,7 @@
 #pragma once
 // Shared fd-level frame I/O — the one copy of the short-write / short-read /
-// EINTR / deadline logic every real (fd-backed) transport uses.
+// EINTR / deadline logic every real (fd-backed) transport uses, and the one
+// worker-side serve loop.
 //
 // Before this header existed, PipeTransport (subprocess_backend.cpp) carried
 // a private write_full/read loop; growing a second fd transport (TCP) would
@@ -13,8 +14,6 @@
 //     EPIPE, never SIGPIPE), resumes after EINTR *without losing the partial
 //     progress*, and treats n == 0 as a hard error (a blocking stream send
 //     never legitimately writes nothing — looping on it would spin forever);
-//   * read_full: the blocking mirror, used by the fork()ed subprocess child
-//     (async-signal-safe: no locks, no allocation, fixed caller buffers);
 //   * read_frame: the deadline-honoring parent-side read. Every poll uses
 //     the REMAINING time to the deadline computed once at entry — the
 //     timeout is never re-armed after a partial read, so a peer trickling
@@ -22,16 +21,18 @@
 //     (tests/tcp_transport_test.cpp pins total wait <= timeout + epsilon).
 //     The result distinguishes a clean timeout (nothing consumed, the
 //     stream is still in sync) from a mid-frame stall (the stream is
-//     desynced for good — the caller poisons the link).
+//     desynced for good — the caller poisons the link);
+//   * serve: the worker side of a session, run by the fork()ed subprocess
+//     child and by every TcpWorkerHost connection alike.
 //
-// FdTransport wraps the helpers into the Transport contract over any
-// connected stream fd; PipeTransport (socketpair to a fork child) and
-// TcpTransport (socket to a worker host) derive from it and only add their
-// teardown hooks.
+// FdTransport wraps the pool-side helpers into the Transport contract over
+// any connected stream fd; PipeTransport (socketpair to a fork child)
+// derives from it to add its teardown hook, and TCP uses it as is.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -45,10 +46,6 @@ namespace frame_io {
 /// every send; EINTR resumes with the partial progress kept; n == 0 and
 /// every other error return false. Async-signal-safe.
 bool write_full(int fd, const std::uint8_t* data, std::size_t size);
-
-/// Blocking read of exactly `size` bytes (EINTR-resumed, EOF = false).
-/// Async-signal-safe — this is the fork()ed worker child's read loop.
-bool read_full(int fd, std::uint8_t* data, std::size_t size);
 
 enum class ReadResult {
   kFrame,         // one whole frame (and its payload, if any) decoded
@@ -66,12 +63,39 @@ enum class ReadResult {
 ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
                       std::vector<std::uint8_t>* payload);
 
+/// How long the worker side gives the rest of a frame, header and payload,
+/// once its first byte is readable. A peer silent for longer mid-frame has
+/// desynced the stream, and the session ends.
+inline constexpr Duration kServeFrameDeadline = 1.0;
+
+/// The worker side's answer to one kSubmitNamed: the status, plus the
+/// encoded result written to `result` (kOk only; it arrives empty).
+using NamedHandler = std::function<NamedStatus(
+    std::uint64_t id, const std::uint8_t* arg, std::size_t size,
+    std::vector<std::uint8_t>& result)>;
+
+/// Serve one worker session on `fd` until the peer retires or leaves it:
+/// kHello{worker, a = pid} first, then
+///   kSubmit -> kComplete (whatever `b` is), kHeartbeat -> kHeartbeatAck,
+///   kSubmitNamed -> kResultNamed (`named`, or kUnsupported when it is
+///   empty), kRetire -> kRetired and the session ends.
+/// The crash_after_tasks hook (> 0) ends the session after reading that
+/// many Submits, before answering the last. Each frame's first byte is a
+/// blocking read with no deadline (an owner stops the loop by shutting `fd`
+/// down, which wakes it with EOF); the rest of the frame gets
+/// kServeFrameDeadline from that byte. With an empty `named` no path
+/// allocates or locks, so the fork()ed child may run it: a named payload is
+/// read into a fixed stack buffer of kMaxNamedPayload bytes. The caller
+/// closes `fd`.
+void serve(int fd, std::uint32_t worker, std::uint64_t pid,
+           int crash_after_tasks, const NamedHandler& named);
+
 }  // namespace frame_io
 
 /// Transport over one connected stream fd — the shared body of
-/// PipeTransport (socketpair to a fork child) and TcpTransport (socket to a
-/// remote worker host). Locking: `mu_` serializes send/close against each
-/// other; recv stays lease-owner-only (the session machine's contract), so
+/// PipeTransport (socketpair to a fork child) and the TCP transport (socket
+/// to a remote worker host). Locking: `mu_` serializes send/close against
+/// each other; recv stays lease-owner-only (the session machine's contract), so
 /// it reads the fd without the mutex — close() shuts the socket down before
 /// closing so a concurrent recv wakes with EOF instead of touching a
 /// recycled fd number.

@@ -119,10 +119,9 @@ bool RemoteWorkerBackend::pump_step(Outcome& out) {
   for (auto& [w, transport] : joined) {
     Session& s = *sessions_[static_cast<std::size_t>(w)];
     std::lock_guard slock(s.mu);
+    recover_lease_locked(s);  // leased on the dead link this one replaces
     s.transport = std::move(transport);
     s.next_seq = 1;
-    s.last_accounted = 0;
-    s.open_lease = 0;
     s.batch_count = 0;
     s.retire_requested.store(false, std::memory_order_relaxed);
     sessions_opened_.fetch_add(1, std::memory_order_relaxed);
@@ -354,61 +353,65 @@ void RemoteWorkerBackend::task_end(int worker, std::uint64_t lease) {
     }
     return;
   }
-  s.open_lease = 0;  // resolving now, one way or the other
-  if (s.transport == nullptr) {
-    // The session vanished under an open lease (should not happen: the
-    // lease owner is the only lease-plane writer) — account it as lost.
-    losses_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  await_complete_locked(s, lease);
+  // A named call made inside the task may have credited the lease already,
+  // or dropped the session and recovered it.
+  if (s.open_lease != lease) return;
+  await_complete_locked(s);
 }
 
-void RemoteWorkerBackend::await_complete_locked(Session& s,
-                                                std::uint64_t lease) {
-  s.open_lease = 0;
-  const TimePoint deadline = cfg_.clock->now() + cfg_.complete_timeout;
+bool RemoteWorkerBackend::await_locked(Session& s, WireFrameType want,
+                                       std::uint64_t seq, Duration timeout,
+                                       WireFrame* reply,
+                                       std::vector<std::uint8_t>* payload) {
+  const TimePoint deadline = cfg_.clock->now() + timeout;
+  std::vector<std::uint8_t> discard;
   for (;;) {
     WireFrame f;
     const Duration wait = std::max(0.0, deadline - cfg_.clock->now());
-    if (s.transport->recv(f, wait)) {
-      if (f.type == WireFrameType::kComplete) {
-        if (f.seq == lease) {
-          s.last_accounted = lease;
-          completes_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        // Duplicate of an already-closed lease, or the stale completion of
-        // a lease recovered earlier (reorder): count and ignore — never
-        // double-close.
-        ignored_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
+    if (s.transport->recv(f, payload != nullptr ? *payload : discard, wait)) {
+      const bool wanted = f.type == want && f.seq == seq;
       if (f.type == WireFrameType::kHeartbeatAck) {
         hb_acked_.fetch_add(1, std::memory_order_relaxed);
-        continue;
+      } else if (f.type == WireFrameType::kComplete && s.open_lease != 0 &&
+                 f.seq == s.open_lease) {
+        s.open_lease = 0;
+        completes_.fetch_add(1, std::memory_order_relaxed);
+      } else if (!wanted && (f.type == WireFrameType::kComplete ||
+                             f.type == WireFrameType::kResultNamed)) {
+        ignored_.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (wanted) {
+        if (reply != nullptr) *reply = f;
+        return true;
       }
       continue;  // kRetired etc.: nothing to do
     }
     if (!s.transport->alive()) {
-      // Crash: the completion can never arrive; the task itself already ran
+      // Crash: nothing more can arrive. The open lease's task already ran
       // in-process, so only the lease is recovered — never the work.
-      s.last_accounted = std::max(s.last_accounted, lease);
-      losses_.fetch_add(1, std::memory_order_relaxed);
       drop_session_locked(s);
-      return;
+      return false;
     }
     // recv yielded nothing on a live link. Under a virtual clock that is
     // terminal — only the test can advance time, so either the deadline
-    // passed (a dropped/held completion) or the test under-advanced; both
-    // resolve deterministically as a recovered lease. Real time keeps
-    // waiting until the deadline.
-    if (cfg_.manual_pump || cfg_.clock->now() >= deadline) {
-      s.last_accounted = std::max(s.last_accounted, lease);
-      losses_.fetch_add(1, std::memory_order_relaxed);
-      return;  // link stays up: a late completion is ignored on arrival
-    }
+    // passed (a dropped/held frame) or the test under-advanced; both
+    // resolve deterministically. Real time keeps waiting until the deadline.
+    if (cfg_.manual_pump || cfg_.clock->now() >= deadline) return false;
   }
+}
+
+void RemoteWorkerBackend::await_complete_locked(Session& s) {
+  // On a timeout the link stays up: a late Complete is ignored on arrival.
+  if (!await_locked(s, WireFrameType::kComplete, s.open_lease,
+                    cfg_.complete_timeout)) {
+    recover_lease_locked(s);
+  }
+}
+
+void RemoteWorkerBackend::recover_lease_locked(Session& s) {
+  if (s.open_lease == 0) return;
+  s.open_lease = 0;
+  losses_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RemoteWorkerBackend::flush_batch_locked(Session& s, int worker) {
@@ -426,7 +429,7 @@ void RemoteWorkerBackend::flush_batch_locked(Session& s, int worker) {
   tasks_batched_.fetch_add(count, std::memory_order_relaxed);
   batch_flushes_.fetch_add(1, std::memory_order_relaxed);
   s.open_lease = seq;
-  await_complete_locked(s, seq);
+  await_complete_locked(s);
 }
 
 void RemoteWorkerBackend::flush_stale_batch(int worker) {
@@ -463,28 +466,14 @@ bool RemoteWorkerBackend::probe(int worker) {
     drop_session_locked(s);
     return false;
   }
-  const TimePoint deadline = cfg_.clock->now() + cfg_.heartbeat_timeout;
-  for (;;) {
-    WireFrame f;
-    const Duration wait = std::max(0.0, deadline - cfg_.clock->now());
-    if (s.transport->recv(f, wait)) {
-      if (f.type == WireFrameType::kHeartbeatAck && f.seq == seq) {
-        hb_acked_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (f.type == WireFrameType::kComplete) {
-        ignored_.fetch_add(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    if (!s.transport->alive() || cfg_.manual_pump ||
-        cfg_.clock->now() >= deadline) {
-      // Partitioned or dead: declare the worker lost; the next grow
-      // re-provisions it.
-      drop_session_locked(s);
-      return false;
-    }
+  if (await_locked(s, WireFrameType::kHeartbeatAck, seq,
+                   cfg_.heartbeat_timeout)) {
+    return true;
   }
+  // Partitioned or dead: declare the worker lost; the next grow
+  // re-provisions it.
+  if (s.transport != nullptr) drop_session_locked(s);
+  return false;
 }
 
 NamedCallResult RemoteWorkerBackend::call_named(int worker, WireMuscleId id,
@@ -520,57 +509,28 @@ NamedCallResult RemoteWorkerBackend::call_named(int worker, WireMuscleId id,
   }
   leases_.fetch_add(1, std::memory_order_relaxed);
   named_calls_.fetch_add(1, std::memory_order_relaxed);
-  s.open_lease = seq;
-  const TimePoint deadline = cfg_.clock->now() + cfg_.complete_timeout;
-  std::vector<std::uint8_t> result_payload;
-  for (;;) {
-    WireFrame f;
-    const Duration wait = std::max(0.0, deadline - cfg_.clock->now());
-    if (s.transport->recv(f, result_payload, wait)) {
-      if (f.type == WireFrameType::kResultNamed && f.seq == seq) {
-        s.open_lease = 0;
-        s.last_accounted = seq;
-        completes_.fetch_add(1, std::memory_order_relaxed);
-        r.transported = true;
-        r.status = f.a <= static_cast<std::uint64_t>(NamedStatus::kUnsupported)
-                       ? static_cast<NamedStatus>(f.a)
-                       : NamedStatus::kUnsupported;
-        if (r.status == NamedStatus::kOk &&
-            !decode_pod(result_payload.data(), result_payload.size(),
-                        r.value)) {
-          r.status = NamedStatus::kBadArgument;  // malformed result payload
-        }
-        if (r.status != NamedStatus::kOk) {
-          named_errors_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return r;
-      }
-      if (f.type == WireFrameType::kComplete ||
-          f.type == WireFrameType::kResultNamed) {
-        // Stale delivery of an earlier-recovered lease: count and ignore.
-        ignored_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (f.type == WireFrameType::kHeartbeatAck) {
-        hb_acked_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      continue;
-    }
-    if (!s.transport->alive()) {
-      s.open_lease = 0;
-      s.last_accounted = std::max(s.last_accounted, seq);
-      losses_.fetch_add(1, std::memory_order_relaxed);
-      drop_session_locked(s);
-      return r;  // transported stays false: the call never resolved
-    }
-    if (cfg_.manual_pump || cfg_.clock->now() >= deadline) {
-      s.open_lease = 0;
-      s.last_accounted = std::max(s.last_accounted, seq);
-      losses_.fetch_add(1, std::memory_order_relaxed);
-      return r;  // link stays up: a late result is ignored on arrival
-    }
+  WireFrame reply;
+  std::vector<std::uint8_t> result;
+  if (!await_locked(s, WireFrameType::kResultNamed, seq,
+                    cfg_.complete_timeout, &reply, &result)) {
+    // Dead link or deadline: the call never resolved (transported stays
+    // false). On a live link a late result is ignored on arrival.
+    losses_.fetch_add(1, std::memory_order_relaxed);
+    return r;
   }
+  completes_.fetch_add(1, std::memory_order_relaxed);
+  r.transported = true;
+  r.status = reply.a <= static_cast<std::uint64_t>(NamedStatus::kUnsupported)
+                 ? static_cast<NamedStatus>(reply.a)
+                 : NamedStatus::kUnsupported;
+  if (r.status == NamedStatus::kOk &&
+      !decode_pod(result.data(), result.size(), r.value)) {
+    r.status = NamedStatus::kBadArgument;  // malformed result payload
+  }
+  if (r.status != NamedStatus::kOk) {
+    named_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return r;
 }
 
 void RemoteWorkerBackend::drop_session_locked(Session& s) {
@@ -578,6 +538,7 @@ void RemoteWorkerBackend::drop_session_locked(Session& s) {
     s.transport->close();
     s.transport.reset();
   }
+  recover_lease_locked(s);
   sessions_lost_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -14,8 +14,8 @@
 // reordering and partitions — i.e. the control plane of "adding workers
 // like adding threads".
 //
-// Lease protocol (per session, sequential — one outstanding lease, owned by
-// the pool worker thread that opened it):
+// Lease protocol (per session, sequential — one outstanding bracket lease,
+// owned by the pool worker thread that opened it):
 //   task_begin: Submit{seq} ships; the lease is open.
 //   task_end:   consume frames until Complete{seq} arrives (completed), the
 //               link dies or the completion deadline passes (recovered).
@@ -23,8 +23,18 @@
 //               leases == completes + losses_recovered, always — the
 //               fault suite pins this on every plan, so a dropped or
 //               reordered completion can never lose a task.
-//   A Complete with seq <= last accounted is a duplicate/stale delivery and
-//   is counted + ignored, so a duplicated completion can never double-close.
+//
+// Inbox rules: one member, await_locked, is the only reader of a session's
+// inbox — bracket waits, batch flushes, probes and named calls all go
+// through it, so every frame is accounted the same way whoever reads it:
+//   * a Complete for the session's open bracket lease credits that lease
+//     (a named call made inside the task may read it first; task_end then
+//     returns without waiting);
+//   * any other Complete or ResultNamed is a duplicate or stale delivery,
+//     counted in ignored_completes — never a double-close;
+//   * every HeartbeatAck counts in heartbeats_acked.
+// A dead link drops the session and recovers its open bracket lease as one
+// loss on the spot.
 //
 // Batched leases (cfg.lease_batch K > 1): task_begin/task_end stop round-
 // tripping per task. Brackets accumulate in a per-session window; the K-th
@@ -190,8 +200,9 @@ class RemoteWorkerBackend : public WorkerBackend {
     std::mutex mu;  // lease plane: transport use + seq bookkeeping
     std::unique_ptr<Transport> transport;
     std::uint64_t next_seq = 1;
-    std::uint64_t last_accounted = 0;  // highest seq completed OR recovered
-    std::uint64_t open_lease = 0;      // lease in flight (under mu)
+    /// Bracket lease in flight (a task's Submit or a batch flush), 0 once
+    /// it is credited or recovered. Named calls never open one.
+    std::uint64_t open_lease = 0;
     // Batched-lease window (lease_batch > 1, all under mu): brackets
     // accumulated since the last flush, the queued hint of the first, and
     // when the window opened (anchor of the flush deadline).
@@ -217,16 +228,27 @@ class RemoteWorkerBackend : public WorkerBackend {
   bool pump_step(Outcome& out);
   void provision_loop(const std::stop_token& st);
   bool session_live(int worker) const;
-  /// session.mu held: tear the transport down and count the loss.
+  /// session.mu held: tear the transport down, count the lost session and
+  /// recover its open bracket lease (it can never complete now).
   void drop_session_locked(Session& s);
+  /// session.mu held: the open bracket lease, if any, ends as one loss.
+  void recover_lease_locked(Session& s);
   /// session.mu held: clean retire — Retire frame, close, count. A pending
   /// batch window flushes fire-and-forget first (no lease opened: the
   /// completion can never be read once the transport closes).
   void retire_session_locked(Session& s, int worker);
-  /// session.mu held, live transport, open lease `lease`: consume frames
-  /// until Complete{lease} (completed), the link dies or the completion
-  /// deadline passes (recovered). Resolves the lease exactly once.
-  void await_complete_locked(Session& s, std::uint64_t lease);
+  /// session.mu held, live transport: the one reader of the session's
+  /// inbox (the rules are at the top of this file). Reads until frame
+  /// `want` with sequence `seq` arrives — true, with it in `reply` and its
+  /// payload in `payload` when those are given — or the link dies (the
+  /// session is dropped) or `timeout` passes (false). Manual-pump mode
+  /// stops as soon as nothing is deliverable.
+  bool await_locked(Session& s, WireFrameType want, std::uint64_t seq,
+                    Duration timeout, WireFrame* reply = nullptr,
+                    std::vector<std::uint8_t>* payload = nullptr);
+  /// session.mu held, live transport, open bracket lease: await its
+  /// Complete, recovering the lease as a loss if it never comes.
+  void await_complete_locked(Session& s);
   /// session.mu held, live transport: ship the pending batch window as one
   /// Submit{b = count} lease and await its completion. No-op when empty.
   void flush_batch_locked(Session& s, int worker);

@@ -16,74 +16,6 @@
 namespace askel {
 namespace {
 
-// ---- the worker child ------------------------------------------------------
-
-/// Fork-without-exec body. The parent is multi-threaded, so everything here
-/// must be async-signal-safe: raw read/write on fixed stack buffers, _exit.
-/// encode/decode and frame_io::{read,write}_full are heap-free by design.
-[[noreturn]] void worker_child_loop(int fd, int worker, int crash_after) {
-  const WireFrameBytes hello =
-      encode_frame(WireFrame{WireFrameType::kHello, static_cast<std::uint32_t>(worker),
-                         0, static_cast<std::uint64_t>(::getpid()), 0});
-  if (!frame_io::write_full(fd, hello.data(), hello.size())) _exit(1);
-  std::uint8_t buf[kWireFrameSize];
-  int tasks = 0;
-  for (;;) {
-    if (!frame_io::read_full(fd, buf, kWireFrameSize)) _exit(0);  // pool went away
-    WireFrame f;
-    if (!decode_frame(buf, kWireFrameSize, f)) _exit(2);
-    switch (f.type) {
-      case WireFrameType::kSubmit: {
-        ++tasks;
-        if (crash_after > 0 && tasks >= crash_after) _exit(17);  // test hook
-        const WireFrameBytes c = encode_frame(
-            WireFrame{WireFrameType::kComplete, static_cast<std::uint32_t>(worker),
-                  f.seq, 0, 0});
-        if (!frame_io::write_full(fd, c.data(), c.size())) _exit(0);
-        break;
-      }
-      case WireFrameType::kHeartbeat: {
-        const WireFrameBytes a = encode_frame(
-            WireFrame{WireFrameType::kHeartbeatAck, static_cast<std::uint32_t>(worker),
-                  f.seq, 0, 0});
-        if (!frame_io::write_full(fd, a.data(), a.size())) _exit(0);
-        break;
-      }
-      case WireFrameType::kSubmitNamed: {
-        // The fork child cannot safely run a muscle table (std::function in
-        // a post-fork address space that may hold foreign locks). Consume
-        // the argument payload chunk-wise on the stack to keep the stream
-        // in sync, then answer kUnsupported — heap-free, never a torn link.
-        if (f.b > kMaxNamedPayload) _exit(2);  // poisoned stream
-        std::uint8_t sink[256];
-        std::uint64_t left = f.b;
-        while (left > 0) {
-          const std::size_t chunk =
-              left < sizeof(sink) ? static_cast<std::size_t>(left) : sizeof(sink);
-          if (!frame_io::read_full(fd, sink, chunk)) _exit(0);
-          left -= chunk;
-        }
-        const WireFrameBytes r = encode_frame(WireFrame{
-            WireFrameType::kResultNamed, static_cast<std::uint32_t>(worker),
-            f.seq,
-            static_cast<std::uint64_t>(NamedStatus::kUnsupported), 0});
-        if (!frame_io::write_full(fd, r.data(), r.size())) _exit(0);
-        break;
-      }
-      case WireFrameType::kRetire: {
-        const WireFrameBytes r = encode_frame(
-            WireFrame{WireFrameType::kRetired, static_cast<std::uint32_t>(worker),
-                  f.seq, 0, 0});
-        frame_io::write_full(fd, r.data(), r.size());  // best effort
-        _exit(0);
-      }
-      case WireFrameType::kStealHint:
-      default:
-        break;  // advisory / unknown: ignore
-    }
-  }
-}
-
 // ---- the parent-side transport ---------------------------------------------
 
 /// The shared FdTransport (frame_io.hpp) plus subprocess teardown: when the
@@ -167,7 +99,15 @@ TransportFactory::Connect SubprocessTransportFactory::try_connect(int worker) {
       if (fd != sv[1]) ::close(fd);
     }
     ::close(sv[0]);
-    worker_child_loop(sv[1], worker, cfg_.crash_after_tasks);
+    // Fork-without-exec: the parent is multi-threaded, so the child may only
+    // run async-signal-safe code. frame_io::serve with no named handler
+    // neither allocates nor locks, and answers named calls kUnsupported (a
+    // muscle table's std::function could hold a lock some parent thread
+    // owned at fork time).
+    frame_io::serve(sv[1], static_cast<std::uint32_t>(worker),
+                    static_cast<std::uint64_t>(::getpid()),
+                    cfg_.crash_after_tasks, nullptr);
+    _exit(0);
   }
   ::close(sv[1]);
   {

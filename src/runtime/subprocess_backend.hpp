@@ -6,9 +6,10 @@
 // child is fork-without-exec and may therefore only use async-signal-safe
 // operations (raw read/write/_exit on fixed stack buffers — the parent is
 // multi-threaded, so the child address space holds locks it must never
-// touch). It answers Submit with Complete, Heartbeat with HeartbeatAck,
-// exits on Retire or EOF, and — as a test hook — can _exit after N tasks to
-// exercise the crash-recovery path with a real dead process.
+// touch). It runs frame_io::serve, the serve loop every TcpWorkerHost
+// connection runs too, with no muscle table: named calls answer
+// kUnsupported. It exits on Retire or EOF, and — as a test hook — after N
+// tasks, to exercise the crash-recovery path with a real dead process.
 //
 // What is real here: fork/join latency (measured, not simulated), join
 // failure (capacity cap, fork/socketpair errors), crash detection (EOF on

@@ -26,26 +26,6 @@ bool set_nonblocking(int fd, bool on) {
   return ::fcntl(fd, F_SETFL, want) == 0;
 }
 
-bool send_frame(int fd, const WireFrame& f) {
-  const WireFrameBytes bytes = encode_frame(f);
-  return frame_io::write_full(fd, bytes.data(), bytes.size());
-}
-
-bool send_frame(int fd, const WireFrame& f, const std::uint8_t* payload,
-                std::size_t size) {
-  return send_frame(fd, f) &&
-         (size == 0 || frame_io::write_full(fd, payload, size));
-}
-
-/// The pool-side transport is the shared FdTransport verbatim — TCP adds no
-/// teardown of its own (no child to reap); the alias exists for on-wire
-/// clarity in stack traces and docs.
-class TcpTransport final : public FdTransport {
- public:
-  using FdTransport::FdTransport;
-  ~TcpTransport() override { close(); }
-};
-
 }  // namespace
 
 // ---- worker-host side -------------------------------------------------------
@@ -89,8 +69,9 @@ void TcpWorkerHost::stop() {
     ::close(listen_fd_);
   }
   {
-    // Kick every live session out of its poll: shutdown delivers EOF; the
-    // serve loop owns the close() itself.
+    // Kick every live session out of its read: shutdown delivers EOF; the
+    // serve loop owns the close() itself. accept_loop registers a fd only
+    // under mu_ after re-checking stop_, so none is missed.
     std::lock_guard lock(mu_);
     for (const int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
   }
@@ -138,95 +119,41 @@ void TcpWorkerHost::accept_loop() {
 }
 
 void TcpWorkerHost::serve(int fd) {
-  const auto forget_fd = [this, fd] {
+  frame_io::serve(
+      fd, 0, static_cast<std::uint64_t>(::getpid()), cfg_.crash_after_tasks,
+      [this](std::uint64_t id, const std::uint8_t* arg, std::size_t size,
+             std::vector<std::uint8_t>& result) {
+        return run_named(static_cast<WireMuscleId>(id), arg, size, result);
+      });
+  {
     std::lock_guard lock(mu_);
     std::erase(session_fds_, fd);
-  };
-  // Hello first — the factory's try_connect waits for it before declaring
-  // the join complete, same contract as the subprocess child.
-  if (!send_frame(fd, WireFrame{WireFrameType::kHello, 0, 0,
-                                static_cast<std::uint64_t>(::getpid()), 0})) {
-    forget_fd();
-    ::close(fd);
-    return;
   }
-  std::vector<std::uint8_t> payload;
-  int tasks = 0;
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire)) break;
-    WireFrame f;
-    // Short poll so stop() never waits long; the deadline semantics under
-    // test live pool-side in FdTransport, not here.
-    const auto res = frame_io::read_frame(fd, 0.1, f, &payload);
-    if (res == frame_io::ReadResult::kTimeout) continue;
-    if (res != frame_io::ReadResult::kFrame) break;  // EOF / desync / garbage
-    switch (f.type) {
-      case WireFrameType::kSubmit: {
-        ++tasks;
-        if (cfg_.crash_after_tasks > 0 && tasks >= cfg_.crash_after_tasks) {
-          // Crash hook: die BETWEEN Submit and Complete — the pool holds an
-          // open lease and must recover it off the EOF.
-          forget_fd();
-          ::close(fd);
-          return;
-        }
-        if (!send_frame(fd, WireFrame{WireFrameType::kComplete, f.worker,
-                                      f.seq, 0, 0})) {
-          goto done;
-        }
-        break;
-      }
-      case WireFrameType::kHeartbeat:
-        if (!send_frame(fd, WireFrame{WireFrameType::kHeartbeatAck, f.worker,
-                                      f.seq, 0, 0})) {
-          goto done;
-        }
-        break;
-      case WireFrameType::kSubmitNamed: {
-        PodValue arg, result;
-        NamedStatus status = NamedStatus::kOk;
-        if (!decode_pod(payload.data(), payload.size(), arg)) {
-          status = NamedStatus::kBadArgument;
-        } else if (!table_.invoke(static_cast<WireMuscleId>(f.a), arg,
-                                  result)) {
-          status = NamedStatus::kUnknownMuscle;
-        }
-        std::vector<std::uint8_t> reply;
-        if (status == NamedStatus::kOk) {
-          reply = encode_pod(result);
-          if (reply.size() > kMaxNamedPayload) {
-            // A result too large for the wire is the muscle's bug; answer
-            // it as a protocol error rather than poisoning the link.
-            status = NamedStatus::kBadArgument;
-            reply.clear();
-          }
-        }
-        {
-          std::lock_guard lock(mu_);
-          ++named_calls_;
-          if (status != NamedStatus::kOk) ++named_errors_;
-        }
-        if (!send_frame(fd,
-                        WireFrame{WireFrameType::kResultNamed, f.worker, f.seq,
-                                  static_cast<std::uint64_t>(status),
-                                  static_cast<std::uint64_t>(reply.size())},
-                        reply.data(), reply.size())) {
-          goto done;
-        }
-        break;
-      }
-      case WireFrameType::kRetire:
-        send_frame(fd, WireFrame{WireFrameType::kRetired, f.worker, f.seq, 0,
-                                 0});  // best effort
-        goto done;
-      case WireFrameType::kStealHint:
-      default:
-        break;  // advisory / unknown: ignore
+  ::close(fd);
+}
+
+NamedStatus TcpWorkerHost::run_named(WireMuscleId id, const std::uint8_t* arg,
+                                     std::size_t size,
+                                     std::vector<std::uint8_t>& result) {
+  PodValue value, out;
+  NamedStatus status = NamedStatus::kOk;
+  if (!decode_pod(arg, size, value)) {
+    status = NamedStatus::kBadArgument;
+  } else if (!table_.invoke(id, value, out)) {
+    status = NamedStatus::kUnknownMuscle;
+  } else {
+    result = encode_pod(out);
+    if (result.size() > kMaxNamedPayload) {
+      // A result too large for the wire is the muscle's bug; answer it as a
+      // protocol error rather than poisoning the link.
+      status = NamedStatus::kBadArgument;
+      result.clear();
     }
   }
-done:
-  forget_fd();
-  ::close(fd);
+  std::lock_guard lock(mu_);
+  ++named_calls_;
+  if (status != NamedStatus::kOk) ++named_errors_;
+  return status;
 }
 
 std::uint64_t TcpWorkerHost::sessions_accepted() const {
@@ -308,7 +235,7 @@ TransportFactory::Connect TcpTransportFactory::try_connect(int worker) {
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  auto transport = std::make_unique<TcpTransport>(fd);
+  auto transport = std::make_unique<FdTransport>(fd);
   const double hello_wait =
       std::chrono::duration<double>(deadline - std::chrono::steady_clock::now())
           .count();

@@ -8,21 +8,12 @@
 //
 //   * TcpWorkerHost — the worker-host side. Binds a listener (port 0 =
 //     ephemeral, port() reports the choice), accepts one connection per
-//     pool-worker session and runs a serve loop per connection: sends
-//     kHello first (mirroring the subprocess child, so try_connect's "wait
-//     for hello" contract is transport-independent), then answers
-//       kSubmit      -> kComplete          (batch-transparent: one Complete
-//                                           per Submit regardless of `b`)
-//       kHeartbeat   -> kHeartbeatAck
-//       kSubmitNamed -> kResultNamed       (decode argument, look the wire
-//                                           id up in the muscle table,
-//                                           execute, encode the result)
-//       kRetire      -> kRetired + close
-//     A malformed argument answers kBadArgument, an unregistered id
+//     pool-worker session and runs frame_io::serve on it — the serve loop
+//     the subprocess child runs too, so both answer the protocol alike.
+//     The host supplies the named-call handler: decode the argument, look
+//     the wire id up in the muscle table, execute, encode the result. A
+//     malformed argument answers kBadArgument, an unregistered id
 //     kUnknownMuscle — protocol errors are *replies*, never torn links.
-//     The crash_after_tasks hook closes the connection after the Nth
-//     Submit WITHOUT completing it — a deterministic "peer died between
-//     Submit and Complete" for the crash-recovery conformance tests.
 //
 //   * TcpTransportFactory / TcpBackend — the pool side. try_connect does a
 //     nonblocking connect with the deadline anchored once at entry
@@ -82,7 +73,11 @@ class TcpWorkerHost {
 
  private:
   void accept_loop();
+  /// One accepted connection: frame_io::serve, then close.
   void serve(int fd);
+  /// frame_io::NamedHandler over table_, counting named_calls_/errors_.
+  NamedStatus run_named(WireMuscleId id, const std::uint8_t* arg,
+                        std::size_t size, std::vector<std::uint8_t>& result);
 
   MuscleTable& table_;
   const TcpWorkerHostConfig cfg_;

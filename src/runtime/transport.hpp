@@ -36,9 +36,9 @@
 // A Transport is one worker's duplex channel. Implementations:
 //   * PipeTransport (subprocess_backend.cpp): a socketpair to a fork()ed
 //     worker process — real fds, real EOF-on-crash, real join latency;
-//   * TcpTransport (tcp_transport.cpp): a real socket to a TcpWorkerHost on
-//     another host — the first transport whose remote side executes
-//     registered muscles instead of echoing brackets;
+//   * FdTransport (frame_io.cpp) over a real socket to a TcpWorkerHost on
+//     another host (tcp_transport.cpp) — the first transport whose remote
+//     side executes registered muscles instead of echoing brackets;
 //   * FakeWorkerTransport (fake_transport.cpp): a seeded, virtual-clock
 //     double that injects every failure mode deterministically.
 //

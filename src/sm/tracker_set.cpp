@@ -1,5 +1,7 @@
 #include "sm/tracker_set.hpp"
 
+#include <algorithm>
+
 #include "events/listener.hpp"
 
 namespace askel {
@@ -72,6 +74,7 @@ TrackerSet::TrackerSet(EstimateRegistry& reg) : reg_(reg) {}
 void TrackerSet::on_event(const Event& ev) {
   if (ev.exec_id < 0 || ev.node == nullptr) return;
   std::lock_guard lock(mu_);
+  newest_event_ = std::max(newest_event_, ev.timestamp);
   TrackerPtr t;
   const auto it = by_exec_.find(ev.exec_id);
   if (it != by_exec_.end()) {
@@ -120,7 +123,7 @@ EventBus::ListenerPtr TrackerSet::as_listener() {
 AdgSnapshot TrackerSet::snapshot(TimePoint now) const {
   std::lock_guard lock(mu_);
   AdgSnapshot g;
-  g.now = now;
+  g.now = std::max(now, newest_event_);
   if (roots_.empty()) return g;
   const Estimates est = reg_.snapshot();
   SnapshotCtx c{g, est, limits};
@@ -147,6 +150,7 @@ void TrackerSet::reset() {
   std::lock_guard lock(mu_);
   by_exec_.clear();
   roots_.clear();
+  newest_event_ = std::numeric_limits<TimePoint>::lowest();
 }
 
 }  // namespace askel

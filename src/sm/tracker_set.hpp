@@ -6,6 +6,7 @@
 // execution it observes. One TrackerSet normally tracks one run at a time;
 // `snapshot` works on the most recently started root instance.
 
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -26,7 +27,10 @@ class TrackerSet {
   /// Listener adapter for EventBus registration.
   EventBus::ListenerPtr as_listener();
 
-  /// Build the ADG of the current root at observation time `now`.
+  /// Build the ADG of the current root at observation time `now`, or at the
+  /// newest event timestamp ingested when that is later: a caller reads its
+  /// clock before the set's lock, and an event stamped in between must not
+  /// put an activity that ends in the future into the graph.
   /// Returns an empty snapshot if no execution has been observed.
   AdgSnapshot snapshot(TimePoint now) const;
 
@@ -47,6 +51,7 @@ class TrackerSet {
   EventBus::ListenerPtr listener_;  // lazily-built shared bus adapter
   std::unordered_map<std::int64_t, TrackerPtr> by_exec_;
   std::vector<TrackerPtr> roots_;
+  TimePoint newest_event_ = std::numeric_limits<TimePoint>::lowest();
 };
 
 }  // namespace askel

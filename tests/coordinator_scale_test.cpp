@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <set>
 #include <vector>
@@ -114,14 +115,17 @@ TEST(CoordinatorScale, NoGrantOutlivesItsActiveEntry) {
 
 // -------------------------------------------------------------- grouped --
 
-// With no groups assigned, GroupedArbitrationPolicy must be grant-for-grant
-// identical to WeightedSharePolicy (every tenant is a singleton group
-// carrying its own weight) — the regression lock that lets the grouped
-// policy ship without disturbing any existing weighted behavior.
+// With no groups assigned, every tenant is a singleton group carrying its
+// own weight, so WeightedSharePolicy must give exactly the grants of the
+// flat single-level weighted fill it replaced. The pinned hash is that flat
+// fill's grants over these 200 seeded demand vectors (FNV-1a 64, one step
+// per grant); a change here is a behaviour change for every ungrouped
+// tenant.
 TEST(GroupedPolicy, UngroupedReducesToWeightedShare) {
+  constexpr std::uint64_t kFlatFillGrantsHash = 0xafa40c85f7bd0bf3ull;
   WeightedSharePolicy weighted;
-  GroupedArbitrationPolicy grouped;
   std::mt19937_64 rng(7);
+  std::uint64_t hash = 14695981039346656037ull;
   for (int iter = 0; iter < 200; ++iter) {
     const int n = 1 + static_cast<int>(rng() % 8);
     const int budget = 1 + static_cast<int>(rng() % 24);
@@ -133,13 +137,15 @@ TEST(GroupedPolicy, UngroupedReducesToWeightedShare) {
       d.pressure = 0.5 * static_cast<double>(rng() % 5);
       d.weight = 1 + static_cast<int>(rng() % 4);
       d.group = 0;
-      d.group_weight = d.weight;
     }
-    std::vector<int> gw(demands.size(), 0), gg(demands.size(), 0);
-    weighted.arbitrate(budget, demands, gw);
-    grouped.arbitrate(budget, demands, gg);
-    ASSERT_EQ(gw, gg) << "diverged at iter " << iter << " budget " << budget;
+    std::vector<int> grants(demands.size(), 0);
+    weighted.arbitrate(budget, demands, grants);
+    for (const int g : grants) {
+      hash ^= static_cast<std::uint64_t>(g);
+      hash *= 1099511628211ull;
+    }
   }
+  EXPECT_EQ(hash, kFlatFillGrantsHash);
 }
 
 // Two-level split: the budget goes across groups by GROUP weight, then
@@ -147,13 +153,13 @@ TEST(GroupedPolicy, UngroupedReducesToWeightedShare) {
 // vs group B (weight 1, one member) on budget 16 => 12 / 4 across groups,
 // 6+6 within A.
 TEST(GroupedPolicy, SplitsAcrossGroupsByGroupWeightThenWithin) {
-  GroupedArbitrationPolicy grouped;
+  WeightedSharePolicy weighted;
   std::vector<TenantDemand> demands(3);
   demands[0] = {.tenant = 1, .desired = 8, .group = 1, .group_weight = 3};
   demands[1] = {.tenant = 2, .desired = 8, .group = 1, .group_weight = 3};
   demands[2] = {.tenant = 3, .desired = 8, .group = 2, .group_weight = 1};
   std::vector<int> grants(3, 0);
-  grouped.arbitrate(16, demands, grants);
+  weighted.arbitrate(16, demands, grants);
   EXPECT_EQ(grants[0], 6);
   EXPECT_EQ(grants[1], 6);
   EXPECT_EQ(grants[2], 4);
@@ -162,12 +168,12 @@ TEST(GroupedPolicy, SplitsAcrossGroupsByGroupWeightThenWithin) {
 // A group capped at its aggregate desired frees the remainder for the other
 // groups, exactly like a desired-capped tenant under WeightedSharePolicy.
 TEST(GroupedPolicy, CappedGroupFreesBudgetForOthers) {
-  GroupedArbitrationPolicy grouped;
+  WeightedSharePolicy weighted;
   std::vector<TenantDemand> demands(2);
   demands[0] = {.tenant = 1, .desired = 2, .group = 1, .group_weight = 3};
   demands[1] = {.tenant = 2, .desired = 16, .group = 2, .group_weight = 1};
   std::vector<int> grants(2, 0);
-  grouped.arbitrate(16, demands, grants);
+  weighted.arbitrate(16, demands, grants);
   EXPECT_EQ(grants[0], 2);   // capped at desired despite weight 3
   EXPECT_EQ(grants[1], 14);  // the freed share flows over
 }
@@ -178,7 +184,7 @@ TEST(GroupedPolicy, CappedGroupFreesBudgetForOthers) {
 TEST(GroupedPolicy, CoordinatorRoutesGroupStateToPolicy) {
   ResizableThreadPool pool(1, 16);
   LpBudgetCoordinator coord(pool, 16);
-  coord.set_policy(std::make_unique<GroupedArbitrationPolicy>());
+  coord.set_policy(std::make_unique<WeightedSharePolicy>());
 
   const int a = coord.register_tenant("a");
   const int b = coord.register_tenant("b");
@@ -222,7 +228,7 @@ TEST(GroupedPolicy, GroupMembershipSurvivesReArmAndResetsOnRecycle) {
 // ------------------------------------------------------------- adaptive --
 
 // A tenant that keeps reporting pressure gains boost (up to the ceiling) and
-// out-grants an equal-weight tenant under the same static inner policy; once
+// out-grants an equal-weight tenant under the same weighted fill; once
 // the pressure clears, the boost decays back to 1.
 TEST(AdaptivePolicy, BoostRisesOnSustainedMissAndDecaysOnSlack) {
   AdaptiveWeightPolicy adaptive;
@@ -246,6 +252,28 @@ TEST(AdaptivePolicy, BoostRisesOnSustainedMissAndDecaysOnSlack) {
   EXPECT_DOUBLE_EQ(adaptive.boost(1), 1.0);
 }
 
+// A boost scales the tenant's member weight, never its group's weight: a
+// pressured tenant takes share from its own group-mates only, and the other
+// group keeps exactly the grant the unboosted two-level fill gives it.
+TEST(AdaptivePolicy, BoostShiftsSharesOnlyWithinTheGroup) {
+  std::vector<TenantDemand> demands(3);
+  demands[0] = {.tenant = 1, .desired = 12, .pressure = 1.5, .group = 1};
+  demands[1] = {.tenant = 2, .desired = 12, .group = 1};
+  demands[2] = {.tenant = 3, .desired = 12, .group = 2};
+  std::vector<int> plain(demands.size(), 0);
+  WeightedSharePolicy().arbitrate(12, demands, plain);
+  ASSERT_EQ(plain, (std::vector<int>{3, 3, 6}));
+
+  AdaptiveWeightPolicy adaptive;
+  std::vector<int> grants;
+  for (int round = 0; round < 12; ++round) {
+    grants.assign(demands.size(), 0);
+    adaptive.arbitrate(12, demands, grants);
+  }
+  ASSERT_GT(adaptive.boost(1), 2.0);
+  EXPECT_EQ(grants, (std::vector<int>{5, 1, 6}));
+}
+
 // Boost state for tenants that leave the demand vector is dropped — the
 // table stays O(armed), and a disarm/re-arm cycle starts from base weight.
 TEST(AdaptivePolicy, BoostStateIsDroppedWithTheTenant) {
@@ -266,7 +294,7 @@ TEST(AdaptivePolicy, BoostStateIsDroppedWithTheTenant) {
 
 // The quality harness is seeded and deterministic: two replays of the same
 // trace produce identical scores, and the adaptive policy must not lose to
-// its static inner policy on miss rate — the PR 4-style ranking anchor.
+// the static weighted fill it boosts on miss rate — the ranking anchor.
 TEST(PolicyQuality, SeededRankingIsDeterministicAndAdaptiveBeatsStatic) {
   const std::vector<DemandRound> trace = demand_trace(42, 6, 200, 16);
 

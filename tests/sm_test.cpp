@@ -271,6 +271,23 @@ TEST(TrackerSet, EmptySnapshotBeforeAnyEvent) {
   EXPECT_EQ(g.size(), 0u);
 }
 
+TEST(TrackerSet, SnapshotNeverHoldsAnActivityEndingAfterItsNow) {
+  // The controller reads its clock, then snapshots; a worker may ingest an
+  // After event stamped in between. The graph must stay valid anyway.
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto skel = Seq(fe);
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  const TimePoint now = 12.0;
+  ts.on_event(ev(skel.node().get(), 1, -1, When::kBefore, Where::kExecute,
+                 fe.m->id(), 10.0));
+  ts.on_event(ev(skel.node().get(), 1, -1, When::kAfter, Where::kExecute,
+                 fe.m->id(), 14.0));
+  const AdgSnapshot g = ts.snapshot(now);
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_TRUE(g.validate().empty()) << g.validate();
+}
+
 TEST(TrackerSet, ResetForgetsTrackersButKeepsEstimates) {
   auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
   auto skel = Seq(fe);

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -25,6 +27,7 @@
 #include "runtime/muscle_table.hpp"
 #include "runtime/subprocess_backend.hpp"
 #include "runtime/tcp_transport.hpp"
+#include "runtime/thread_pool.hpp"
 #include "runtime/transport.hpp"
 
 namespace askel {
@@ -189,6 +192,32 @@ TEST(FrameIo, OversizedAdvertisedPayloadPoisonsNeverAllocates) {
 
 // ------------------------------------------------- host + factory, E2E -----
 
+/// A raw loopback connection to `host` with its Hello already read: the
+/// test plays the pool side byte by byte. -1 when the join fails.
+int dial(const TcpWorkerHost& host) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(host.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  WireFrame hello;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      frame_io::read_frame(fd, 2.0, hello, nullptr) !=
+          frame_io::ReadResult::kFrame ||
+      hello.type != WireFrameType::kHello) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool write_frame(int fd, const WireFrame& f) {
+  const WireFrameBytes bytes = encode_frame(f);
+  return frame_io::write_full(fd, bytes.data(), bytes.size());
+}
+
 TEST(TcpTransport, ConnectJoinsAndServesTheLeaseProtocol) {
   TcpWorkerHost host;
   ASSERT_TRUE(host.listening());
@@ -335,6 +364,130 @@ TEST(TcpBackend, NamedCallEndToEndThroughTheSessionMachine) {
   EXPECT_EQ(s.named_errors, 1u);
   EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
   EXPECT_EQ(s.losses_recovered, 0u);
+}
+
+TEST(TcpWorkerHost, NamedPayloadArrivingLateStillGetsItsReply) {
+  // The pool writes a named call's header and payload as two sends; a
+  // descheduled writer can leave a gap between them. Only the wait for a
+  // frame's FIRST byte is unbounded — the payload gets the frame deadline,
+  // so a 150 ms gap is a slow frame, not a torn link.
+  MuscleTable table;
+  const WireMuscleId dbl = table.register_muscle(
+      "double", [](const PodValue& v) {
+        return PodValue::of_i64(v.as_i64() * 2);
+      });
+  TcpWorkerHost host(table);
+  ASSERT_TRUE(host.listening());
+  const int fd = dial(host);
+  ASSERT_GE(fd, 0);
+  const std::vector<std::uint8_t> arg = encode_pod(PodValue::of_i64(21));
+  ASSERT_TRUE(write_frame(
+      fd, WireFrame{WireFrameType::kSubmitNamed, 0, 1, dbl,
+                    static_cast<std::uint64_t>(arg.size())}));
+  std::this_thread::sleep_for(150ms);
+  ASSERT_TRUE(frame_io::write_full(fd, arg.data(), arg.size()));
+  WireFrame reply;
+  std::vector<std::uint8_t> result;
+  ASSERT_EQ(frame_io::read_frame(fd, 2.0, reply, &result),
+            frame_io::ReadResult::kFrame);
+  EXPECT_EQ(reply.type, WireFrameType::kResultNamed);
+  EXPECT_EQ(reply.a, static_cast<std::uint64_t>(NamedStatus::kOk));
+  PodValue out;
+  ASSERT_TRUE(decode_pod(result.data(), result.size(), out));
+  EXPECT_EQ(out.as_i64(), 42);
+  // The session is still live.
+  ASSERT_TRUE(
+      write_frame(fd, WireFrame{WireFrameType::kHeartbeat, 0, 2, 0, 0}));
+  ASSERT_EQ(frame_io::read_frame(fd, 2.0, reply, nullptr),
+            frame_io::ReadResult::kFrame);
+  EXPECT_EQ(reply.type, WireFrameType::kHeartbeatAck);
+  EXPECT_EQ(reply.seq, 2u);
+  ::close(fd);
+}
+
+TEST(TcpWorkerHost, HeaderWhosePayloadNeverArrivesEndsTheSession) {
+  TcpWorkerHost host;
+  ASSERT_TRUE(host.listening());
+  const int fd = dial(host);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(
+      write_frame(fd, WireFrame{WireFrameType::kSubmitNamed, 0, 1, 1, 8}));
+  WireFrame f;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(frame_io::read_frame(fd, frame_io::kServeFrameDeadline + 5.0, f,
+                                 nullptr),
+            frame_io::ReadResult::kClosed);
+  const double waited = seconds_since(t0);
+  EXPECT_GE(waited, frame_io::kServeFrameDeadline * 0.5);
+  EXPECT_LE(waited, frame_io::kServeFrameDeadline + 0.5);
+  ::close(fd);
+}
+
+TEST(TcpWorkerHost, StopDoesNotWaitOutAFrameDeadline) {
+  // One session idle, one stalled mid-frame (header in, payload never
+  // sent): stop() shuts both sockets down, and neither serve loop may sit
+  // out the rest of its frame deadline.
+  TcpWorkerHost host;
+  ASSERT_TRUE(host.listening());
+  const int idle = dial(host);
+  const int stalled = dial(host);
+  ASSERT_GE(idle, 0);
+  ASSERT_GE(stalled, 0);
+  ASSERT_TRUE(
+      write_frame(stalled, WireFrame{WireFrameType::kSubmitNamed, 0, 1, 1, 8}));
+  std::this_thread::sleep_for(20ms);  // the host is inside that frame now
+  const auto t0 = std::chrono::steady_clock::now();
+  host.stop();
+  EXPECT_LT(seconds_since(t0), frame_io::kServeFrameDeadline / 2);
+  ::close(idle);
+  ::close(stalled);
+}
+
+TEST(TcpBackend, NamedCallInsideALeasedTaskCreditsTheTaskBracket) {
+  // The pool brackets every task with a lease on this same backend; the
+  // named call inside the task reads the bracket's Complete first and must
+  // credit it, so task_end returns without waiting out complete_timeout.
+  MuscleTable table;
+  const WireMuscleId inc =
+      table.register_muscle("inc", [](const PodValue& v) {
+        return PodValue::of_i64(v.as_i64() + 1);
+      });
+  TcpWorkerHost host(table);
+  ASSERT_TRUE(host.listening());
+  TcpBackendConfig cfg;
+  cfg.port = host.port();
+  cfg.max_workers = 1;
+  TcpBackend backend(cfg);
+  ResizableThreadPool pool(1, 1);
+  pool.set_backend(&backend);
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (backend.live_sessions() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(backend.live_sessions(), 1);
+  std::atomic<int> ok{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int k = 0; k < 3; ++k) {
+    pool.submit([&backend, &ok, inc, k] {
+      const NamedCallResult res =
+          backend.call_named(0, inc, PodValue::of_i64(k));
+      if (res.transported && res.status == NamedStatus::kOk &&
+          res.value.as_i64() == k + 1) {
+        ++ok;
+      }
+    });
+  }
+  pool.wait_idle();
+  const double took = seconds_since(t0);
+  pool.set_backend(nullptr);
+  EXPECT_EQ(ok.load(), 3);
+  EXPECT_LT(took, cfg.complete_timeout / 2);
+  const RemoteBackendStats s = backend.stats();
+  EXPECT_EQ(s.leases, 6u);
+  EXPECT_EQ(s.completes, 6u);
+  EXPECT_EQ(s.losses_recovered, 0u);
+  EXPECT_EQ(s.ignored_completes, 0u);
 }
 
 TEST(SubprocessNamed, ForkChildAnswersUnsupportedWithoutDesyncing) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -435,6 +436,34 @@ TEST(FakeTransportNamed, CallNamedFlushesAnOpenBatchWindowFirst) {
   EXPECT_EQ(s.tasks_batched, 1u);
   EXPECT_EQ(s.leases, 2u);
   EXPECT_EQ(s.leases, s.completes + s.losses_recovered);
+}
+
+TEST(FakeTransportNamed, NamedCallInsideALeasedTaskCreditsTheTaskBracket) {
+  // A pool whose backend is this session machine brackets every task with a
+  // lease. A named call made inside the task reads the bracket's Complete
+  // before its own result: it must credit the bracket, so task_end returns
+  // without waiting instead of recovering it as a loss.
+  Remote r(FakeFaultPlan{}, /*max_workers=*/1);
+  ResizableThreadPool pool(1, 1);
+  pool.set_backend(&r.backend);
+  r.backend.pump();
+  ASSERT_EQ(r.backend.live_sessions(), 1);
+  std::atomic<int> echoed{0};
+  for (int k = 0; k < 3; ++k) {
+    pool.submit([&r, &echoed, k] {
+      const NamedCallResult res =
+          r.backend.call_named(0, 1, PodValue::of_i64(k));
+      if (res.transported && res.value == PodValue::of_i64(k)) ++echoed;
+    });
+  }
+  pool.wait_idle();
+  pool.set_backend(nullptr);
+  EXPECT_EQ(echoed.load(), 3);
+  const RemoteBackendStats s = r.backend.stats();
+  EXPECT_EQ(s.leases, 6u);
+  EXPECT_EQ(s.completes, 6u);
+  EXPECT_EQ(s.losses_recovered, 0u);
+  EXPECT_EQ(s.ignored_completes, 0u);
 }
 
 // --------------------------------------- partition detection mid-batch ----

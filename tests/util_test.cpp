@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <csignal>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -223,6 +225,13 @@ TEST(Fmt, FormatsWithPrecision) {
   EXPECT_EQ(fmt(1.23456, 2), "1.23");
   EXPECT_EQ(fmt(2.0, 0), "2");
   EXPECT_EQ(fmt(-0.5, 1), "-0.5");
+}
+
+// Every test binary links tests/support/crash_stacks.cpp: a fatal signal
+// prints the stack to stderr, then still kills the process with that signal.
+TEST(CrashStacksDeathTest, FatalSignalPrintsAStackThenDiesOfIt) {
+  EXPECT_EXIT(std::abort(), ::testing::KilledBySignal(SIGABRT),
+              "fatal signal in test; stack:.*util_test");
 }
 
 }  // namespace
