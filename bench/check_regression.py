@@ -96,6 +96,14 @@ def slo_attainment_ratio(d):
     return get(d, "service", "attainment_ratio")
 
 
+def autonomic_overhead(d):
+    """Median wordcount_cpu-shaped job time at a fixed LP 4 with an armed
+    controller that cannot move LP, over trackers alone, in one process. A
+    within-run ratio; 1.0 means the MAPE loop is free. Lower is better.
+    Baselines taken before the metric existed lack it, so it SKIPs there."""
+    return get(d, "autonomic_overhead_ratio")
+
+
 # (name, extractor, higher_is_better, tolerance_override)
 # tolerance_override (None = use --tolerance): the CI gate compares a
 # FULL-mode checked-in baseline against a --smoke current run; most
@@ -113,6 +121,7 @@ METRICS = [
     ("inject_contended_vs_single", inject_contended, True, None),
     ("arbitration_flatness_ratio", arbitration_flatness, False, None),
     ("slo_attainment_ratio", slo_attainment_ratio, True, 0.5),
+    ("autonomic_overhead_ratio", autonomic_overhead, False, None),
 ]
 
 

@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the framework's moving parts: event
-// dispatch overhead, skeleton interpretation overhead, scheduler costs on
-// growing ADGs, estimator updates, and pool resize latency.
+// dispatch overhead, scheduler costs on growing ADGs, estimator updates, and
+// pool resize latency. What skeletons, trackers and the controller cost on a
+// real job is wct_algorithms --overhead's autonomic_overhead_ratio.
 //
 // These quantify the "very high level of adaptability" claim: per-event
 // monitoring is only viable if event dispatch and re-estimation are cheap
@@ -8,15 +9,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <numeric>
-
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
 #include "autonomic/decision.hpp"
 #include "est/registry.hpp"
 #include "skel/typed.hpp"
-#include "sm/tracker_set.hpp"
 #include "workload/paper_example.hpp"
 
 namespace askel {
@@ -67,63 +65,6 @@ void BM_EventDispatch_Contended(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventDispatch_Contended)->Threads(4)->UseRealTime();
-
-// --------------------------------------------------------- skeleton layer --
-
-void BM_SkeletonOverhead_SeqNoop(benchmark::State& state) {
-  ResizableThreadPool pool(1, 1);
-  EventBus bus;
-  Engine engine(pool, bus);
-  auto fe = execute_muscle<int, int>("noop", [](int x) { return x; });
-  auto skel = Seq(fe);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(skel.input(1, engine).get());
-  }
-}
-BENCHMARK(BM_SkeletonOverhead_SeqNoop);
-
-void BM_SkeletonOverhead_MapNoop(benchmark::State& state) {
-  ResizableThreadPool pool(2, 2);
-  EventBus bus;
-  Engine engine(pool, bus);
-  const int n = static_cast<int>(state.range(0));
-  auto fs = split_muscle<int, int>("fs", [n](int) {
-    return std::vector<int>(static_cast<std::size_t>(n), 1);
-  });
-  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
-  auto fm = merge_muscle<int, int>("fm", [](std::vector<int> v) {
-    return std::accumulate(v.begin(), v.end(), 0);
-  });
-  auto skel = Map(fs, Seq(fe), fm);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(skel.input(0, engine).get());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_SkeletonOverhead_MapNoop)->Arg(4)->Arg(32)->Arg(256);
-
-void BM_SkeletonOverhead_WithTrackingListeners(benchmark::State& state) {
-  ResizableThreadPool pool(2, 2);
-  EventBus bus;
-  EstimateRegistry reg(0.5);
-  TrackerSet trackers(reg);
-  bus.add_listener(trackers.as_listener());
-  Engine engine(pool, bus);
-  auto fs = split_muscle<int, int>("fs", [](int) {
-    return std::vector<int>(32, 1);
-  });
-  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
-  auto fm = merge_muscle<int, int>("fm", [](std::vector<int> v) {
-    return static_cast<int>(v.size());
-  });
-  auto skel = Map(fs, Seq(fe), fm);
-  for (auto _ : state) {
-    trackers.reset();
-    benchmark::DoNotOptimize(skel.input(0, engine).get());
-  }
-  state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_SkeletonOverhead_WithTrackingListeners);
 
 // -------------------------------------------------------- analytic layers --
 

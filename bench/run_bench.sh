@@ -30,11 +30,16 @@
 #     curves and the attainment ratio the regression gate tracks,
 #   * TCP transport (PR 10): the bracket churn over a real loopback socket at
 #     lease_batch 1 and 16, connect->Hello join latency and the named-muscle
-#     echo round trip (rides inside <out>.transport.json's "tcp" section).
+#     echo round trip (rides inside <out>.transport.json's "tcp" section),
+#   * autonomic overhead: the wordcount_cpu job shape at a fixed LP 4,
+#     an armed controller that cannot move LP vs trackers alone, median job
+#     time over >= 100 jobs a side in one process; the ratio is the top-level
+#     "autonomic_overhead_ratio" the regression gate tracks.
 # The per-scenario raw JSONs are kept next to the output
 # (<out>.pressure.json / <out>.weighted.json / <out>.aggressor.json /
 # <out>.estimators.json / <out>.transport.json / <out>.scaling.json /
-# <out>.service.json) so CI can upload each artifact individually.
+# <out>.service.json / <out>.overhead.json) so CI can upload each artifact
+# individually.
 #
 # Usage: bench/run_bench.sh [--smoke] [output.json]
 #   --smoke: CI smoke mode — tiny iteration counts, no timing assertions;
@@ -80,6 +85,7 @@ transport_json="${out_json%.json}.transport.json"
 scaling_json="${out_json%.json}.scaling.json"
 coord_scale_json="${out_json%.json}.coordinator.json"
 service_json="${out_json%.json}.service.json"
+overhead_json="${out_json%.json}.overhead.json"
 trap 'rm -f "${raw_json}"' EXIT
 
 min_time=0.2
@@ -144,6 +150,12 @@ svc_args=()
 "${build_dir}/service_bench" "${svc_args[@]+"${svc_args[@]}"}" \
   > "${service_json}"
 
+# Autonomic overhead: armed controller at fixed LP 4 vs trackers
+# alone on the wordcount_cpu job shape. Smoke mode runs 10 jobs a side.
+oh_args=(--overhead)
+[[ ${smoke} -eq 1 ]] && oh_args+=(--smoke)
+"${build_dir}/wct_algorithms" "${oh_args[@]}" > "${overhead_json}"
+
 # WCT algorithm comparison rides along for the scheduling-cost trajectory
 # (skipped in smoke mode: it is the slowest piece and purely informational).
 if [[ ${smoke} -eq 0 ]]; then
@@ -153,7 +165,7 @@ fi
 python3 - "${raw_json}" "${mt_pressure_json}" "${mt_weighted_json}" \
   "${mt_aggressor_json}" "${out_json}" "${smoke}" "${est_ab_json}" \
   "${transport_json}" "${scaling_json}" "${coord_scale_json}" \
-  "${service_json}" <<'EOF'
+  "${service_json}" "${overhead_json}" <<'EOF'
 import json, sys
 
 raw = json.load(open(sys.argv[1]))
@@ -165,6 +177,7 @@ transport = json.load(open(sys.argv[8]))
 scaling = json.load(open(sys.argv[9]))
 coordinator = json.load(open(sys.argv[10]))
 service = json.load(open(sys.argv[11]))
+overhead = json.load(open(sys.argv[12]))
 by_name = {b["name"]: b for b in raw.get("benchmarks", [])}
 
 def ns(name):
@@ -212,6 +225,8 @@ out = {
     "scaling": scaling,
     "coordinator_scale": coordinator,
     "service": service,
+    "autonomic_overhead": overhead,
+    "autonomic_overhead_ratio": overhead.get("autonomic_overhead_ratio"),
 }
 json.dump(out, open(sys.argv[5], "w"), indent=2)
 print(f"wrote {sys.argv[5]}")

@@ -1,10 +1,9 @@
 // The paper's §6 future work: "analyses of different WCT estimation
-// algorithms comparing its overhead costs". Two comparisons live here:
+// algorithms comparing its overhead costs". Three modes live here:
 //
-//  * default mode — scheduling algorithms: greedy list scheduling (the
-//    paper's; most accurate) vs the Graham bound max(CP, W/p) (O(V+E),
-//    optimistic), on the §4 worked example and random DAGs of growing size.
-//    Reports estimate values, relative deviation, and per-call cost.
+//  * default mode — the greedy list schedule the controller uses, on the §4
+//    worked example (with the Graham bounds around it) and on random DAGs of
+//    growing size: estimate values and per-call cost.
 //
 //  * --estimators mode — the PR 4 estimator family A/B: replays the
 //    Figure 5/6/7 scenarios under each estimator (EWMA / window mean /
@@ -14,7 +13,15 @@
 //    from est/quality.hpp. Emits one JSON object on stdout (consumed by
 //    bench/run_bench.sh into BENCH_PR<N>.json).
 //
+//  * --overhead mode — what the MAPE loop costs on fine-grained work: the
+//    e2e wordcount_cpu job shape (16 x 32 fan-out over 20K tweets, muscle
+//    sleeps off) at a fixed LP 4, jobs alternating between trackers alone
+//    and trackers plus an armed controller that cannot move LP (max LP 4, a
+//    goal no schedule meets). Emits the median job time of each side and
+//    their ratio, autonomic_overhead_ratio, as one JSON object.
+//
 // Usage: wct_algorithms [--estimators [--smoke] [--scale X] [--tweets N]]
+//        wct_algorithms --overhead [--smoke]
 
 #include <algorithm>
 #include <chrono>
@@ -26,7 +33,7 @@
 #include <string>
 
 #include "adg/bounds.hpp"
-#include "adg/limited_lp.hpp"
+#include "askel.hpp"
 #include "est/quality.hpp"
 #include "util/csv.hpp"
 #include "workload/paper_example.hpp"
@@ -66,7 +73,7 @@ double time_ns(F&& fn, int iters) {
 }
 
 int run_scheduling_comparison() {
-  std::cout << "=== WCT estimation algorithms: accuracy and overhead ===\n\n";
+  std::cout << "=== WCT estimation: list-schedule accuracy and overhead ===\n\n";
 
   // Accuracy on the paper's worked example at LP 2 (list schedule = 115).
   PaperExampleReplay replay;
@@ -76,26 +83,94 @@ int run_scheduling_comparison() {
             << "  graham_bound=" << graham_bound(paper, 2)
             << "  graham_upper=" << graham_upper(paper, 2) << "\n\n";
 
-  Table table({"n", "lp", "list_wct", "graham_wct", "deviation_%", "list_ns",
-               "graham_ns"});
+  Table table({"n", "lp", "list_wct", "list_ns"});
   for (const int n : {16, 64, 256, 1024}) {
     const AdgSnapshot g = random_dag(17, n);
     for (const int lp : {2, 8}) {
-      const double list = limited_lp(g, lp).wct;
-      const double bound = graham_bound(g, lp);
       const int iters = n <= 256 ? 200 : 20;
       const double tl = time_ns([&] { return limited_lp(g, lp).wct; }, iters);
-      const double tb = time_ns([&] { return graham_bound(g, lp); }, iters);
-      table.add_row({std::to_string(n), std::to_string(lp), fmt(list, 2),
-                     fmt(bound, 2), fmt(100.0 * (list - bound) / list, 1),
-                     fmt(tl, 0), fmt(tb, 0)});
+      table.add_row({std::to_string(n), std::to_string(lp),
+                     fmt(limited_lp(g, lp).wct, 2), fmt(tl, 0)});
     }
   }
   std::cout << table.to_text();
-  std::cout << "\n(graham_bound is a valid lower bound: using it in the "
-               "controller risks under-allocation when dependencies, not "
-               "work, dominate — the deviation column quantifies that)\n";
   return 0;
+}
+
+// ------------------------------------------------ autonomic overhead --
+
+/// One wordcount_cpu-shaped job on `pool` (fixed at LP 4); returns its wall
+/// time in seconds, or a negative value when the counts are wrong.
+double overhead_job(const WordcountSkeleton& ws, const TweetDoc& doc,
+                    const Counts& expected, ResizableThreadPool& pool,
+                    bool armed) {
+  // A goal no schedule meets: the controller plans every event it is
+  // allowed to, but with LP already at its max it never moves it.
+  constexpr Duration kUnreachableGoal = 1e-9;
+  EventBus bus;
+  EstimateRegistry reg;
+  TrackerSet trackers(reg);
+  bus.add_listener(trackers.as_listener());
+  AutonomicController controller(pool, trackers);
+  if (armed) bus.add_listener(controller.as_listener());
+  Engine engine(pool, bus);
+  const auto t0 = std::chrono::steady_clock::now();
+  if (armed) controller.arm(kUnreachableGoal, pool.max_lp());
+  const CountsPart out = ws.skeleton.input(doc, engine).get();
+  const auto t1 = std::chrono::steady_clock::now();
+  controller.disarm();
+  pool.wait_idle();
+  if (out.counts != expected) return -1.0;
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+int run_overhead(int argc, char** argv) {
+  bool smoke = false;
+  for (int k = 1; k < argc; ++k) {
+    if (std::strcmp(argv[k], "--smoke") == 0) smoke = true;
+  }
+  const long jobs = smoke ? 10 : 150;
+
+  PaperTimings timings;
+  timings.scale = 0.0;
+  timings.outer_chunks = 16;
+  timings.inner_chunks = 32;
+  const WordcountSkeleton ws = make_wordcount_skeleton(timings, 85);
+  TweetCorpusConfig corpus;
+  corpus.num_tweets = 20000;
+  TweetDoc doc;
+  doc.tweets =
+      std::make_shared<const std::vector<std::string>>(generate_tweets(corpus));
+  doc.end = doc.tweets->size();
+  const Counts expected = count_tokens(doc);
+  ResizableThreadPool pool(4, 4);
+
+  // One untimed job per side, then alternate so both sides see the same
+  // host conditions.
+  std::vector<double> bare, armed;
+  bool correct = overhead_job(ws, doc, expected, pool, false) >= 0.0 &&
+                 overhead_job(ws, doc, expected, pool, true) >= 0.0;
+  for (long k = 0; k < 2 * jobs; ++k) {
+    const bool arm = k % 2 == 1;
+    const double s = overhead_job(ws, doc, expected, pool, arm);
+    correct = correct && s >= 0.0;
+    (arm ? armed : bare).push_back(s);
+  }
+  const double bare_ms = median(bare) * 1e3;
+  const double armed_ms = median(armed) * 1e3;
+  std::cout << "{\"mode\": \"overhead\", \"smoke\": " << json_bool(smoke)
+            << ", \"lp\": 4, \"jobs_per_side\": " << jobs
+            << ", \"trackers_only_ms_p50\": " << fmt(bare_ms, 3)
+            << ", \"armed_ms_p50\": " << fmt(armed_ms, 3)
+            << ", \"autonomic_overhead_ratio\": "
+            << fmt(bare_ms > 0.0 ? armed_ms / bare_ms : 0.0, 3)
+            << ", \"results_correct\": " << json_bool(correct) << "}\n";
+  return correct ? 0 : 1;
 }
 
 // ------------------------------------------------------- estimator A/B --
@@ -251,6 +326,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[k], "--estimators") == 0) {
       return run_estimator_ab(argc, argv);
     }
+    if (std::strcmp(argv[k], "--overhead") == 0) return run_overhead(argc, argv);
   }
   return run_scheduling_comparison();
 }

@@ -1,8 +1,8 @@
 #pragma once
-// Analytic WCT bounds — cheaper alternatives to the limited-LP list-schedule
-// simulation (the paper's §6 names "analyses of different WCT estimation
-// algorithms comparing its overhead costs" as future work; this implements
-// the classic candidates).
+// Analytic WCT bounds around the limited-LP list schedule (the paper's §6
+// names "analyses of different WCT estimation algorithms comparing its
+// overhead costs" as future work; these are the classic candidates). The
+// controller schedules with limited_lp; the bounds serve as test oracles.
 //
 // For a snapshot with remaining work W (sum of running-remainders and pending
 // durations), critical path CP (the best-effort WCT) and LP p:
@@ -14,7 +14,7 @@
 //     CP + W/p (slightly loose but O(V+E) to compute).
 //
 // The greedy list schedule (limited_lp) always lands between graham_bound and
-// graham_upper — asserted by property tests.
+// graham_upper — asserted by property tests (BoundsSandwich).
 
 #include "adg/best_effort.hpp"
 
@@ -34,14 +34,5 @@ TimePoint graham_bound(const AdgSnapshot& g, int lp);
 /// Loose upper bound CP_tail + W/p on what greedy list scheduling can do:
 /// best_effort.wct + remaining_work/lp.
 TimePoint graham_upper(const AdgSnapshot& g, int lp);
-
-/// Which algorithm the controller uses to evaluate limited-LP completion.
-enum class WctAlgorithm : int {
-  kListSchedule,  // the paper's greedy simulation (most accurate, O(n² log n))
-  kGrahamBound,   // analytic bound (optimistic, O(V+E))
-};
-
-/// Dispatch: estimated completion time of `g` under `lp` workers.
-TimePoint estimate_wct(const AdgSnapshot& g, int lp, WctAlgorithm algo);
 
 }  // namespace askel

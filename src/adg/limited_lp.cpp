@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace askel {
@@ -31,59 +34,67 @@ Schedule limited_lp(const AdgSnapshot& g, int lp) {
     }
   }
 
-  // Worker availability. Running activities physically occupy threads; if
-  // more are running than `lp` (the controller just shrank the pool), the
-  // surplus threads park when they finish, so only the `lp`
-  // earliest-finishing slots rejoin the pool.
+  // Worker availability, as a min-heap of free times. Running activities
+  // physically occupy threads; if more are running than `lp` (the controller
+  // just shrank the pool), the surplus threads park when they finish, so
+  // only the `lp` earliest-finishing slots rejoin the pool.
   std::sort(running_ends.begin(), running_ends.end());
-  std::multiset<TimePoint> avail;
   const std::size_t reuse = std::min<std::size_t>(running_ends.size(), lp);
-  for (std::size_t k = 0; k < reuse; ++k) avail.insert(running_ends[k]);
-  for (int k = static_cast<int>(running_ends.size()); k < lp; ++k)
-    avail.insert(g.now);
+  std::vector<TimePoint> free_at(running_ends.begin(), running_ends.begin() + reuse);
+  free_at.resize(lp, g.now);
+  std::priority_queue<TimePoint, std::vector<TimePoint>, std::greater<>> workers(
+      std::greater<>{}, std::move(free_at));
 
-  // Pass 2: greedy list scheduling of pending activities.
-  std::vector<int> pending;
-  for (const Activity& a : g.activities)
-    if (a.state == ActivityState::kPending) pending.push_back(a.id);
-
-  std::size_t left = pending.size();
-  std::vector<char> placed(n, 0);
-  while (left > 0) {
-    int best = -1;
-    TimePoint best_ready = 0.0;
-    for (const int id : pending) {
-      if (placed[id]) continue;
-      const Activity& a = g.activities[id];
-      bool ready = true;
-      TimePoint ready_t = g.now;
-      for (const int p : a.preds) {
-        if (!scheduled[p]) {
-          ready = false;
-          break;
-        }
-        ready_t = std::max(ready_t, s.entries[p].end);
-      }
-      if (!ready) continue;
-      if (best == -1 || ready_t < best_ready) {
-        best = id;
-        best_ready = ready_t;
-      }
+  // Pass 2: greedy list scheduling of pending activities. Each one waits for
+  // its pending predecessors (`missing`); the last one placed moves it onto
+  // the ready heap, keyed by (ready time, id) — the earliest-ready, lowest-id
+  // choice a scan of every pending activity would make, in O((V+E) log V).
+  std::vector<int> missing(n, 0);
+  std::vector<int> succ_begin(n + 1, 0);  // pending successors, CSR layout
+  [[maybe_unused]] std::size_t left = 0;
+  for (const Activity& a : g.activities) {
+    if (a.state != ActivityState::kPending) continue;
+    ++left;
+    for (const int p : a.preds) {
+      if (scheduled[p]) continue;
+      ++missing[a.id];
+      ++succ_begin[p + 1];
     }
-    // Topological snapshot order guarantees at least one ready activity.
-    assert(best != -1 && "cycle or dangling predecessor in snapshot");
-    const auto it = avail.begin();
-    const TimePoint worker_free = *it;
-    avail.erase(it);
-    const TimePoint start = std::max(best_ready, worker_free);
-    const TimePoint end = start + g.activities[best].est_duration;
-    avail.insert(end);
-    s.entries[best] = {start, end};
-    scheduled[best] = 1;
-    placed[best] = 1;
-    s.wct = std::max(s.wct, end);
-    --left;
   }
+  std::partial_sum(succ_begin.begin(), succ_begin.end(), succ_begin.begin());
+  std::vector<int> succ(succ_begin[n]);
+  std::vector<int> fill = succ_begin;
+
+  using Ready = std::pair<TimePoint, int>;
+  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
+  const auto push_ready = [&](const Activity& a) {
+    TimePoint t = g.now;
+    for (const int p : a.preds) t = std::max(t, s.entries[p].end);
+    ready.emplace(t, a.id);
+  };
+  for (const Activity& a : g.activities) {
+    if (a.state != ActivityState::kPending) continue;
+    for (const int p : a.preds)
+      if (!scheduled[p]) succ[fill[p]++] = a.id;
+    if (missing[a.id] == 0) push_ready(a);
+  }
+
+  for (; !ready.empty(); --left) {
+    const auto [ready_t, id] = ready.top();
+    ready.pop();
+    const TimePoint worker_free = workers.top();
+    workers.pop();
+    const TimePoint start = std::max(ready_t, worker_free);
+    const TimePoint end = start + g.activities[id].est_duration;
+    workers.push(end);
+    s.entries[id] = {start, end};
+    s.wct = std::max(s.wct, end);
+    for (int k = succ_begin[id]; k < succ_begin[id + 1]; ++k) {
+      if (--missing[succ[k]] == 0) push_ready(g.activities[succ[k]]);
+    }
+  }
+  // Topological snapshot order guarantees every pending activity is placed.
+  assert(left == 0 && "cycle or dangling predecessor in snapshot");
   return s;
 }
 

@@ -1,6 +1,7 @@
 #include "autonomic/controller.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "events/listener.hpp"
 
@@ -81,6 +82,8 @@ bool AutonomicController::arm_goals(const QoSGoals& goals) {
                                               goals.tail_goal)
               : nullptr;
   last_eval_ = -1.0;
+  last_eval_end_ = 0.0;
+  last_eval_cost_ = 0.0;
   last_reason_ = DecisionReason::kEmptySnapshot;
   evaluations_ = 0;
   actions_.clear();
@@ -127,10 +130,7 @@ void AutonomicController::record_latency(Duration latency) {
   if (!lock.owns_lock()) return;
   if (!armed_ || tail_ != tracker) return;  // disarmed or re-armed meanwhile
   const TimePoint now = clock_->now();
-  const bool warming = last_reason_ == DecisionReason::kIncompleteEstimates ||
-                       last_reason_ == DecisionReason::kEmptySnapshot;
-  if (!warming && last_eval_ >= 0.0 && now - last_eval_ < cfg_.min_interval) return;
-  evaluate_locked(now);
+  if (due_locked(now)) evaluate_locked(now);
 }
 
 TailSnapshot AutonomicController::tail_snapshot() const {
@@ -189,13 +189,18 @@ void AutonomicController::on_event(const Event& ev) {
   if (!lock.owns_lock()) return;
   if (!armed_) return;
   const TimePoint now = clock_->now();
-  // Throttle only actionable evaluations: while estimates are still warming
-  // up, the very next event may be the one that completes them (the first
-  // merge in the paper's scenario 1), and it must be evaluated immediately.
+  if (due_locked(now)) evaluate_locked(now);
+}
+
+bool AutonomicController::due_locked(TimePoint now) const {
+  if (last_eval_ < 0.0) return true;
+  if (now - last_eval_end_ < kCostSpacing * last_eval_cost_) return false;
+  // min_interval throttles only actionable evaluations: while estimates are
+  // still warming up, the very next event may be the one that completes
+  // them (the first merge in the paper's scenario 1).
   const bool warming = last_reason_ == DecisionReason::kIncompleteEstimates ||
                        last_reason_ == DecisionReason::kEmptySnapshot;
-  if (!warming && last_eval_ >= 0.0 && now - last_eval_ < cfg_.min_interval) return;
-  evaluate_locked(now);
+  return warming || now - last_eval_ >= cfg_.min_interval;
 }
 
 Decision AutonomicController::evaluate_now() {
@@ -242,6 +247,7 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
     pressure = slo_pressure(t, goals_.tail_goal);
   } else {
     const AdgSnapshot g = trackers_.snapshot(now);
+    assert(g.validate().empty() && "controller snapshot is not a valid ADG");
     d = decide(g, goal_abs_, current, effective_max_lp(), cfg_.decision);
     pressure = goal_pressure(d, goal_abs_, now);
   }
@@ -260,6 +266,8 @@ Decision AutonomicController::evaluate_locked(TimePoint now) {
     actions_.push_back(Action{now, current, applied, d.reason, d.best_effort_wct,
                               d.current_lp_wct});
   }
+  last_eval_end_ = clock_->now();
+  last_eval_cost_ = last_eval_end_ - now;
   return d;
 }
 

@@ -2,14 +2,25 @@
 // AutonomicController: closes the MAPE loop.
 //
 // Monitor  — the TrackerSet listener mirrors the execution (events);
-// Analyze  — on every After-muscle event the controller snapshots the ADG and
-//            estimates best-effort / limited-LP completion times;
+// Analyze  — an After-muscle event triggers an evaluation, which snapshots
+//            the ADG and estimates best-effort / limited-LP completion times;
 // Plan     — decision.cpp picks the LP;
 // Execute  — ResizableThreadPool::set_target_lp applies it immediately.
 //
 // The controller is itself an event listener, so the adaptation targets "the
 // currently evaluated instance, and not the next execution of the whole
 // problem" (paper §4).
+//
+// An evaluation runs on the worker that emitted the event, so its cost is
+// bounded for fine-grained muscles:
+//  * one evaluation at a time: a worker that finds one running skips (it
+//    already sees fresher tracker state than this event);
+//  * an event evaluates only once kCostSpacing times the last evaluation's
+//    measured cost has passed since that evaluation ended;
+//  * once estimates are complete, it also waits until `min_interval` has
+//    passed since the last evaluation started (while they warm up, the
+//    next event may be the one that completes them).
+// On a ManualClock an evaluation costs 0, so every event still evaluates.
 //
 // Sharded mode: N controllers — one per skeleton/tenant, each with its own
 // TrackerSet and goal — share one pool. Call bind_coordinator() before arm()
@@ -45,13 +56,20 @@ struct ControllerConfig {
   DecisionConfig decision;
   /// SLO-mode decision knobs (used only after arm_slo).
   SloDecisionConfig slo;
-  /// Minimum wall-clock spacing between evaluations (0 = evaluate on every
-  /// qualifying event; matches the paper's per-event reactivity).
+  /// Minimum wall-clock spacing between evaluation starts once estimates are
+  /// complete (0 = every qualifying event the cost bound allows; matches the
+  /// paper's per-event reactivity whenever evaluations are cheap).
   Duration min_interval = 0.0;
 };
 
 class AutonomicController {
  public:
+  /// An event-triggered evaluation waits kCostSpacing times the previous
+  /// evaluation's measured cost after it ended, so evaluations use at most
+  /// 1/(1 + 9) = a tenth of one worker's wall time, whatever the muscle
+  /// grain. evaluate_now() is exempt.
+  static constexpr double kCostSpacing = 9.0;
+
   AutonomicController(ResizableThreadPool& pool, TrackerSet& trackers,
                       const Clock* clock = &default_clock(),
                       ControllerConfig cfg = {});
@@ -115,8 +133,8 @@ class AutonomicController {
   /// Feed one event (normally via the bus).
   void on_event(const Event& ev);
 
-  /// Force one evaluation now (used by tests and by callers with their own
-  /// triggering policy).
+  /// Force one evaluation now, whatever the trigger rules say (used by tests
+  /// and by callers with their own triggering policy).
   Decision evaluate_now();
 
   /// One record per applied LP change.
@@ -129,9 +147,13 @@ class AutonomicController {
     TimePoint current_lp_wct = 0.0;
   };
   std::vector<Action> actions() const;
+  /// Evaluations since arm (an event skipped by the try-lock or the trigger
+  /// rules is not one).
   long evaluations() const;
 
  private:
+  /// The trigger rule on_event and record_latency share (see the top).
+  bool due_locked(TimePoint now) const;
   Decision evaluate_locked(TimePoint now);
   int effective_max_lp() const;
   int current_lp_locked() const;
@@ -155,6 +177,9 @@ class AutonomicController {
   /// the (internally locked) tracker update.
   std::shared_ptr<TailTracker> tail_;
   TimePoint last_eval_ = -1.0;
+  /// When the last evaluation returned, and what it cost (controller clock).
+  TimePoint last_eval_end_ = 0.0;
+  Duration last_eval_cost_ = 0.0;
   /// Pool provision-failure counter at the last evaluation (seeded at arm):
   /// an advance means a grow this controller planned (or shared the pool
   /// with) never materialized — surfaced as one kProvisionFailed action.

@@ -45,7 +45,7 @@ Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
   const Schedule be = best_effort(g);
   d.best_effort_wct = be.wct;
   d.optimal_lp = std::max(1, peak_concurrency(concurrency_profile(be)));
-  d.current_lp_wct = estimate_wct(g, current_lp, cfg.wct_algorithm);
+  d.current_lp_wct = limited_lp(g, current_lp).wct;
 
   if (be.wct > goal_abs) {
     // Even infinite parallelism misses the goal: allocate toward the optimal
@@ -91,7 +91,7 @@ Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
     // (Limited-LP WCT is non-increasing in LP under the paper's assumption
     // of non-strictly-increasing speedup, so first hit = smallest.)
     for (int k = current_lp + 1; k <= max_lp; ++k) {
-      if (estimate_wct(g, k, cfg.wct_algorithm) <= goal_abs) {
+      if (limited_lp(g, k).wct <= goal_abs) {
         d.new_lp = k;
         d.reason = DecisionReason::kIncreaseToGoal;
         return d;
@@ -105,7 +105,7 @@ Decision decide(const AdgSnapshot& g, TimePoint goal_abs, int current_lp,
 
   if (cfg.allow_decrease && current_lp > 1) {
     const int half = std::max(1, current_lp / 2);
-    if (estimate_wct(g, half, cfg.wct_algorithm) <= goal_abs) {
+    if (limited_lp(g, half).wct <= goal_abs) {
       d.new_lp = half;
       d.reason = DecisionReason::kDecreaseHalf;
       return d;

@@ -14,7 +14,6 @@
 //    threads; if it can, it decreases the number of threads to the half" —
 //    deliberately slower than the increase path.
 
-#include "adg/bounds.hpp"
 #include "adg/snapshot.hpp"
 #include "est/tail_tracker.hpp"
 
@@ -53,10 +52,6 @@ struct DecisionConfig {
   int ramp_factor = 3;
   /// Disable the halving decrease (ablation knob).
   bool allow_decrease = true;
-  /// How limited-LP completion times are estimated: the paper's greedy list
-  /// schedule, or the O(V+E) Graham bound (optimistic — may under-allocate;
-  /// see the wct_algorithms bench for the accuracy/overhead trade-off).
-  WctAlgorithm wct_algorithm = WctAlgorithm::kListSchedule;
 };
 
 struct Decision {

@@ -120,7 +120,8 @@ struct ScenarioConfig {
   /// (scaled by timings.scale like everything else). The paper's controller
   /// visibly re-plans at a sub-second cadence (the Figure 5 ramp takes ≈1 s);
   /// evaluating on literally every event would let the unachievable-path
-  /// ramp max out before estimates refine. Set <0 to evaluate per event.
+  /// ramp max out before estimates refine. Set <0 to evaluate on every event
+  /// the controller's cost bound allows.
   Duration controller_min_interval = 0.1;
   std::uint64_t jitter_seed = 7;
   /// Multi-tenant mode: run on this shared pool instead of a private one

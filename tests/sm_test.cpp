@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
+#include "autonomic/controller.hpp"
 #include "autonomic/decision.hpp"
 #include "workload/paper_example.hpp"
 #include "workload/wordcount.hpp"
@@ -443,6 +446,100 @@ TEST(PaperReplay, InitializedRegistryMakesEarlySnapshotsComplete) {
   // from t=10 is 10 + 10 + 15·(critical path 3 sequential fe) + 5 + 5 = wait —
   // structure: inner split 10, fe 15 (parallel ∞), merge 5, outer merge 5.
   EXPECT_DOUBLE_EQ(best_effort(g).wct, 45.0);
+}
+
+// ---------------------------------------------------------------------------
+// The cost bound: on a clock that advances one step per reading, every
+// evaluation costs one step, so after an evaluation the next
+// kCostSpacing - 1 triggering events are skipped and the one after evaluates.
+// ---------------------------------------------------------------------------
+
+class StepClock final : public Clock {
+ public:
+  explicit StepClock(Duration step) : step_(step) {}
+  TimePoint now() const override { return t_.fetch_add(step_) + step_; }
+
+ private:
+  const Duration step_;
+  mutable std::atomic<double> t_{0.0};
+};
+
+constexpr int kSkippedPerEvaluation =
+    static_cast<int>(AutonomicController::kCostSpacing) - 1;
+
+Event after_execute() {
+  return ev(nullptr, -1, -1, When::kAfter, Where::kExecute, 0, 0.0);
+}
+
+TEST(CostBound, EventsWithinSpacingTimesTheLastCostAreSkipped) {
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto skel = Seq(fe);
+  EstimateRegistry reg(0.5);
+  reg.init_duration(fe.m->id(), 1.0);
+  TrackerSet ts(reg);
+  ts.on_event(ev(skel.node().get(), 1, -1, When::kBefore, Where::kExecute,
+                 fe.m->id(), 0.0));  // complete from the start: no warm-up
+  ResizableThreadPool pool(1, 4);
+  StepClock clock(1.0);
+  AutonomicController ctl(pool, ts, &clock);
+  ASSERT_TRUE(ctl.arm(/*goal=*/1e9));
+
+  ctl.on_event(after_execute());  // the first evaluation is never skipped
+  ASSERT_EQ(ctl.evaluations(), 1);
+  for (long round = 1; round <= 3; ++round) {
+    for (int k = 0; k < kSkippedPerEvaluation; ++k) ctl.on_event(after_execute());
+    EXPECT_EQ(ctl.evaluations(), round) << "skipped events must not evaluate";
+    ctl.on_event(after_execute());
+    EXPECT_EQ(ctl.evaluations(), round + 1);
+  }
+  // evaluate_now() ignores the bound.
+  ctl.evaluate_now();
+  ctl.evaluate_now();
+  EXPECT_EQ(ctl.evaluations(), 6);
+}
+
+TEST(CostBound, WarmingEvaluationsIgnoreMinIntervalButNotTheCostBound) {
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto skel = Seq(fe);
+  EstimateRegistry reg(0.5);  // t(fe) unknown: every evaluation warms up
+  TrackerSet ts(reg);
+  ts.on_event(ev(skel.node().get(), 1, -1, When::kBefore, Where::kExecute,
+                 fe.m->id(), 0.0));
+  ResizableThreadPool pool(1, 4);
+  StepClock clock(1.0);
+  ControllerConfig cfg;
+  cfg.min_interval = 1e9;  // never passes once estimates are complete
+  AutonomicController ctl(pool, ts, &clock, cfg);
+  ASSERT_TRUE(ctl.arm(/*goal=*/1e9));
+
+  ctl.on_event(after_execute());
+  ASSERT_EQ(ctl.evaluations(), 1);
+  for (long round = 1; round <= 3; ++round) {
+    for (int k = 0; k < kSkippedPerEvaluation; ++k) ctl.on_event(after_execute());
+    EXPECT_EQ(ctl.evaluations(), round) << "skipped events must not evaluate";
+    ctl.on_event(after_execute());
+    EXPECT_EQ(ctl.evaluations(), round + 1) << "min_interval held back a warm-up";
+  }
+}
+
+TEST(CostBound, RecordLatencyFollowsTheSameRule) {
+  EstimateRegistry reg(0.5);
+  TrackerSet ts(reg);
+  ResizableThreadPool pool(1, 4);
+  StepClock clock(1.0);
+  ControllerConfig cfg;
+  cfg.slo.min_observations = 4;
+  AutonomicController ctl(pool, ts, &clock, cfg);
+  ASSERT_TRUE(ctl.arm_slo(/*tail_goal=*/1.0));
+  // Warming up (fewer than min_observations) in round 1, planning after.
+  ctl.record_latency(0.1);
+  ASSERT_EQ(ctl.evaluations(), 1);
+  for (long round = 1; round <= 3; ++round) {
+    for (int k = 0; k < kSkippedPerEvaluation; ++k) ctl.record_latency(0.1);
+    EXPECT_EQ(ctl.evaluations(), round);
+    ctl.record_latency(0.1);
+    EXPECT_EQ(ctl.evaluations(), round + 1);
+  }
 }
 
 }  // namespace
