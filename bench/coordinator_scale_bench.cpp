@@ -13,11 +13,6 @@
 // show up as ~100x latency). Registration throughput is also reported — it
 // exercises the sharded registry, not the arbitration lock.
 //
-// The bench also replays the seeded policy-quality trace (autonomic/
-// policy_quality.hpp) through the static and adaptive policy family and
-// reports the deterministic ranking, so BENCH_PR7.json records whether the
-// adaptive policy actually earns its keep on goal-miss rate.
-//
 // Emits one JSON object on stdout (consumed by bench/run_bench.sh into
 // BENCH_PR<N>.json).
 //
@@ -31,7 +26,6 @@
 #include <vector>
 
 #include "autonomic/coordinator.hpp"
-#include "autonomic/policy_quality.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/csv.hpp"
 
@@ -139,24 +133,6 @@ int main(int argc, char** argv) {
       large.arbitration_us / std::max(1e-9, small.arbitration_us);
   const bool flat = flatness <= 2.0;
 
-  // Deterministic policy grading: the same seeded trace through the whole
-  // family. The adaptive policy must beat the static weighted fill it
-  // boosts (weighted-share) on miss rate — that is what "learning from goal-miss
-  // history" buys.
-  const std::vector<DemandRound> trace =
-      demand_trace(/*seed=*/42, /*tenants=*/6, /*rounds=*/200, /*budget=*/16);
-  DeadlinePressurePolicy pressure;
-  WeightedSharePolicy weighted;
-  AdaptiveWeightPolicy adaptive;
-  const std::vector<PolicyQuality> ranked =
-      rank_policies({&pressure, &weighted, &adaptive}, 16, trace);
-  double adaptive_miss = 1.0, weighted_miss = 1.0;
-  for (const PolicyQuality& q : ranked) {
-    if (q.policy == "adaptive-weight") adaptive_miss = q.miss_rate;
-    if (q.policy == "weighted-share") weighted_miss = q.miss_rate;
-  }
-  const bool adaptive_wins = adaptive_miss <= weighted_miss;
-
   std::cout << "{\n";
   std::cout << "  \"bench\": \"coordinator_scale\",\n";
   std::cout << "  \"smoke\": " << json_bool(smoke) << ",\n";
@@ -165,25 +141,11 @@ int main(int argc, char** argv) {
   print_scale("large", large, false);
   std::cout << "  \"arbitration_flatness_ratio\": " << fmt(flatness, 3)
             << ",\n";
-  std::cout << "  \"flat_in_registrations\": " << json_bool(flat) << ",\n";
-  std::cout << "  \"policy_quality\": [\n";
-  for (std::size_t k = 0; k < ranked.size(); ++k) {
-    const PolicyQuality& q = ranked[k];
-    std::cout << "    {\"policy\": \"" << q.policy
-              << "\", \"miss_rate\": " << fmt(q.miss_rate, 4)
-              << ", \"mean_shortfall\": " << fmt(q.mean_shortfall, 3)
-              << ", \"churn\": " << fmt(q.churn, 3) << "}"
-              << (k + 1 < ranked.size() ? "," : "") << "\n";
-  }
-  std::cout << "  ],\n";
-  std::cout << "  \"adaptive_beats_static\": " << json_bool(adaptive_wins)
-            << "\n";
+  std::cout << "  \"flat_in_registrations\": " << json_bool(flat) << "\n";
   std::cout << "}\n";
 
-  // The ranking is seeded and deterministic — assert it even in smoke. The
-  // flatness bound is wall-clock, so like the other benches it only gates
-  // the full (non-smoke) run.
-  if (!adaptive_wins) return 1;
+  // The flatness bound is wall-clock, so like the other benches it only
+  // gates the full (non-smoke) run.
   if (!smoke && !flat) return 1;
   return 0;
 }

@@ -9,9 +9,6 @@
 #     arbitration policies (deadline-pressure and weighted-share),
 #   * multi-tenant aggressor: victim vs flooding aggressor, weighted
 #     isolation vs the FIFO dispatch baseline,
-#   * estimator A/B (PR 4): fig5/6/7 scenarios under each estimator family
-#     member (EWMA / window mean / window median / P^2 quantile) plus the
-#     deterministic bursty-stream accuracy ranking,
 #   * transport/backend comparison (PR 5): real subprocess-worker join
 #     latency vs the simulated provision delay, the per-task transport
 #     bracket cost, and fig5 under --backend thread vs subprocess,
@@ -21,9 +18,8 @@
 #     and the per-LP scaling curve. Multi-tenant staggered traffic is now
 #     Zipf-skewed (--zipf-skew 1.1) instead of uniform,
 #   * coordinator scale (PR 7): per-arbitration latency at 1M registered /
-#     10K armed vs 10K/10K (the active-set flatness ratio, must stay <= 2x),
-#     sharded-registry registration throughput, and the deterministic
-#     policy-quality ranking (adaptive vs static arbitration policies),
+#     10K armed vs 10K/10K (the active-set flatness ratio, must stay <= 2x)
+#     and sharded-registry registration throughput,
 #   * latency-SLO service (PR 9): the seeded open-loop request stream with a
 #     p99 goal against a flooding aggressor, coordinated (tail-driven grants
 #     + weighted dispatch) vs the FIFO baseline — per-tenant attainment
@@ -37,7 +33,7 @@
 #     "autonomic_overhead_ratio" the regression gate tracks.
 # The per-scenario raw JSONs are kept next to the output
 # (<out>.pressure.json / <out>.weighted.json / <out>.aggressor.json /
-# <out>.estimators.json / <out>.transport.json / <out>.scaling.json /
+# <out>.transport.json / <out>.scaling.json / <out>.coordinator.json /
 # <out>.service.json / <out>.overhead.json) so CI can upload each artifact
 # individually.
 #
@@ -80,7 +76,6 @@ raw_json="$(mktemp)"
 mt_pressure_json="${out_json%.json}.pressure.json"
 mt_weighted_json="${out_json%.json}.weighted.json"
 mt_aggressor_json="${out_json%.json}.aggressor.json"
-est_ab_json="${out_json%.json}.estimators.json"
 transport_json="${out_json%.json}.transport.json"
 scaling_json="${out_json%.json}.scaling.json"
 coord_scale_json="${out_json%.json}.coordinator.json"
@@ -114,12 +109,6 @@ mt_args=()
 "${build_dir}/multi_tenant" "${mt_args[@]+"${mt_args[@]}"}" \
   --scenario aggressor > "${mt_aggressor_json}"
 
-# Estimator family A/B (PR 4): fig5/6/7 under each estimator + the
-# deterministic stream-accuracy ranking. Smoke mode shrinks the scale.
-est_args=(--estimators)
-[[ ${smoke} -eq 1 ]] && est_args+=(--smoke)
-"${build_dir}/wct_algorithms" "${est_args[@]}" > "${est_ab_json}"
-
 # Transport/backend comparison (PR 5) + lease-batching sweep (PR 6):
 # subprocess vs thread backend, and tasks/sec at lease_batch K in {1,4,16,64}.
 tb_args=()
@@ -135,8 +124,8 @@ sc_args=()
   > "${scaling_json}"
 
 # Coordinator scale (PR 7): arbitration-flatness ratio (1M registered / 10K
-# armed vs 10K/10K) and the deterministic policy-quality ranking. Smoke mode
-# shrinks to 50K/1K and skips the wall-clock flatness assertion.
+# armed vs 10K/10K). Smoke mode shrinks to 50K/1K and skips the wall-clock
+# flatness assertion.
 cs_args=()
 [[ ${smoke} -eq 1 ]] && cs_args+=(--smoke)
 "${build_dir}/coordinator_scale_bench" "${cs_args[@]+"${cs_args[@]}"}" \
@@ -163,21 +152,20 @@ if [[ ${smoke} -eq 0 ]]; then
 fi
 
 python3 - "${raw_json}" "${mt_pressure_json}" "${mt_weighted_json}" \
-  "${mt_aggressor_json}" "${out_json}" "${smoke}" "${est_ab_json}" \
-  "${transport_json}" "${scaling_json}" "${coord_scale_json}" \
-  "${service_json}" "${overhead_json}" <<'EOF'
+  "${mt_aggressor_json}" "${out_json}" "${smoke}" "${transport_json}" \
+  "${scaling_json}" "${coord_scale_json}" "${service_json}" \
+  "${overhead_json}" <<'EOF'
 import json, sys
 
 raw = json.load(open(sys.argv[1]))
 mt_pressure = json.load(open(sys.argv[2]))
 mt_weighted = json.load(open(sys.argv[3]))
 mt_aggressor = json.load(open(sys.argv[4]))
-estimator_ab = json.load(open(sys.argv[7]))
-transport = json.load(open(sys.argv[8]))
-scaling = json.load(open(sys.argv[9]))
-coordinator = json.load(open(sys.argv[10]))
-service = json.load(open(sys.argv[11]))
-overhead = json.load(open(sys.argv[12]))
+transport = json.load(open(sys.argv[7]))
+scaling = json.load(open(sys.argv[8]))
+coordinator = json.load(open(sys.argv[9]))
+service = json.load(open(sys.argv[10]))
+overhead = json.load(open(sys.argv[11]))
 by_name = {b["name"]: b for b in raw.get("benchmarks", [])}
 
 def ns(name):
@@ -220,7 +208,6 @@ out = {
         "staggered_weighted": mt_weighted,
         "aggressor": mt_aggressor,
     },
-    "estimator_ab": estimator_ab,
     "transport": transport,
     "scaling": scaling,
     "coordinator_scale": coordinator,

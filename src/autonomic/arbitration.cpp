@@ -1,9 +1,8 @@
 #include "autonomic/arbitration.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <utility>
+#include <unordered_map>
 
 namespace askel {
 
@@ -152,45 +151,6 @@ void WeightedSharePolicy::arbitrate(int budget,
       grants[g.members[k]] = member_grants[k];
     }
   }
-}
-
-AdaptiveWeightPolicy::AdaptiveWeightPolicy()
-    : AdaptiveWeightPolicy(Config{}) {}
-
-AdaptiveWeightPolicy::AdaptiveWeightPolicy(Config cfg) : cfg_(cfg) {}
-
-void AdaptiveWeightPolicy::arbitrate(int budget,
-                                     const std::vector<TenantDemand>& demands,
-                                     std::vector<int>& grants) const {
-  // Update the boost table from this round's reported pressures, rebuilding
-  // it from scratch so entries for tenants no longer in the demand vector
-  // are dropped — the table stays O(armed) however many ids ever existed.
-  std::unordered_map<int, double> next;
-  next.reserve(demands.size());
-  std::vector<TenantDemand> boosted = demands;
-  for (TenantDemand& d : boosted) {
-    double b = 1.0;
-    if (const auto it = boosts_.find(d.tenant); it != boosts_.end()) {
-      b = it->second;
-    }
-    if (d.pressure > cfg_.miss_threshold) {
-      b += cfg_.step * std::min(d.pressure, 2.0);
-    } else {
-      b -= cfg_.decay;
-    }
-    b = std::clamp(b, 1.0, std::max(1.0, cfg_.max_boost));
-    next.emplace(d.tenant, b);
-    // Grouped tenants keep their group's weight: the boost shifts shares
-    // within the group only.
-    d.weight = std::max(1, static_cast<int>(std::lround(d.weight * b)));
-  }
-  boosts_ = std::move(next);
-  weighted_.arbitrate(budget, boosted, grants);
-}
-
-double AdaptiveWeightPolicy::boost(int tenant) const {
-  const auto it = boosts_.find(tenant);
-  return it == boosts_.end() ? 1.0 : it->second;
 }
 
 }  // namespace askel

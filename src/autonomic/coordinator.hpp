@@ -23,11 +23,11 @@
 //  * sum of per-tenant grants <= budget() <= pool.max_lp(), always — the
 //    coordinator also installs the budget as the pool's lp_limit, so the cap
 //    holds even against direct set_target_lp callers;
-//  * contested LP is split by the pluggable ArbitrationPolicy (default:
-//    DeadlinePressurePolicy — widest relative goal miss first with a
-//    1-thread floor; WeightedSharePolicy splits by SLA-class weight,
+//  * contested LP is split by the pluggable ArbitrationPolicy. Two ship:
+//    DeadlinePressurePolicy (default) — widest relative goal miss first with
+//    a 1-thread floor; WeightedSharePolicy splits by SLA-class weight,
 //    hierarchically — budget across groups by group weight, water-fill
-//    within; AdaptiveWeightPolicy nudges weights from goal-miss history);
+//    within;
 //  * every grant change is ALSO installed into the pool's per-tenant grant
 //    vector (batched through `set_tenant_grants`), which drives the pool's
 //    weighted dispatch — grants are scheduling isolation, not just planning

@@ -14,7 +14,7 @@ namespace askel {
 class Ewma {
  public:
   explicit Ewma(double rho = 0.5) : rho_(rho) {
-    if (rho < 0.0 || rho > 1.0)
+    if (!(rho >= 0.0 && rho <= 1.0))  // NaN fails too
       throw std::invalid_argument("Ewma: rho must be in [0,1]");
   }
 

@@ -4,52 +4,37 @@
 // sub-problem set it returns; the cardinality of a Condition is the number of
 // `true` results over a While run, or the recursion depth for d&C).
 //
-// Both statistics run through the pluggable Estimator interface; the default
-// (and the legacy double-rho constructor) is the paper's EWMA, bit-identical
-// to the pre-interface code path.
+// Both statistics are the paper's EWMA at the registry's rho.
 
-#include <memory>
 #include <optional>
 
-#include "est/estimator.hpp"
+#include "est/ewma.hpp"
 
 namespace askel {
 
 class MuscleStats {
  public:
-  /// Legacy constructor: the paper's EWMA at `rho` for both statistics.
-  explicit MuscleStats(double rho = 0.5)
-      : MuscleStats(EstimatorConfig{.kind = EstimatorKind::kEwma, .rho = rho}) {}
+  explicit MuscleStats(double rho = 0.5) : t_(rho), card_(rho) {}
 
-  /// Estimator-family constructor: one fresh estimator per statistic, built
-  /// from the registry's per-scope config.
-  explicit MuscleStats(const EstimatorConfig& cfg)
-      : t_(make_estimator(cfg)), card_(make_estimator(cfg)) {}
-
-  MuscleStats(MuscleStats&&) = default;
-  MuscleStats& operator=(MuscleStats&&) = default;
-
-  void observe_duration(double seconds) { t_->observe(seconds); }
-  void observe_cardinality(double card) { card_->observe(card); }
-  void init_duration(double seconds) { t_->init(seconds); }
-  void init_cardinality(double card) { card_->init(card); }
+  void observe_duration(double seconds) { t_.observe(seconds); }
+  void observe_cardinality(double card) { card_.observe(card); }
+  void init_duration(double seconds) { t_.init(seconds); }
+  void init_cardinality(double card) { card_.init(card); }
 
   std::optional<double> t() const {
-    return t_->has_value() ? std::optional<double>(t_->value()) : std::nullopt;
+    return t_.has_value() ? std::optional<double>(t_.value()) : std::nullopt;
   }
   std::optional<double> cardinality() const {
-    return card_->has_value() ? std::optional<double>(card_->value())
-                              : std::nullopt;
+    return card_.has_value() ? std::optional<double>(card_.value())
+                             : std::nullopt;
   }
 
-  long duration_observations() const { return t_->observations(); }
-  long cardinality_observations() const { return card_->observations(); }
-
-  EstimatorKind estimator_kind() const { return t_->kind(); }
+  long duration_observations() const { return t_.observations(); }
+  long cardinality_observations() const { return card_.observations(); }
 
  private:
-  std::unique_ptr<Estimator> t_;
-  std::unique_ptr<Estimator> card_;
+  Ewma t_;
+  Ewma card_;
 };
 
 }  // namespace askel

@@ -114,24 +114,17 @@ std::size_t Estimates::size() const {
 
 // ------------------------------------------------------- EstimateRegistry --
 
+// Validate eagerly (Ewma's check): a bad rho must throw here, not on the
+// first observation from a worker thread.
 EstimateRegistry::EstimateRegistry(double rho, EstimationScope scope)
-    : EstimateRegistry(EstimatorConfig{.kind = EstimatorKind::kEwma, .rho = rho},
-                       scope) {}
-
-EstimateRegistry::EstimateRegistry(const EstimatorConfig& estimator,
-                                   EstimationScope scope)
-    : est_cfg_(estimator), scope_(scope) {
-  // Validate eagerly: a bad config must throw here, not on the first
-  // observation from a worker thread.
-  (void)make_estimator(est_cfg_);
-}
+    : rho_(Ewma(rho).rho()), scope_(scope) {}
 
 EstimateRegistry::Shard& EstimateRegistry::shard_for(int muscle_id) const {
   return shards_[static_cast<std::size_t>(muscle_id) % kShards];
 }
 
 MuscleStats& EstimateRegistry::stats_locked(Shard& s, std::int64_t key) {
-  return s.stats.try_emplace(key, est_cfg_).first->second;
+  return s.stats.try_emplace(key, rho_).first->second;
 }
 
 void EstimateRegistry::bump_version() {

@@ -42,7 +42,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "est/estimator.hpp"
 #include "est/muscle_stats.hpp"
 
 namespace askel {
@@ -158,16 +157,10 @@ class Estimates {
 
 class EstimateRegistry {
  public:
-  /// Legacy constructor: the paper's EWMA at `rho` for every muscle.
+  /// The paper's EWMA at `rho` for every muscle entry (both layers,
+  /// duration and cardinality). Throws std::invalid_argument unless rho is
+  /// in [0,1].
   explicit EstimateRegistry(double rho = 0.5,
-                            EstimationScope scope = EstimationScope::kAggregate);
-
-  /// Estimator-family constructor (per-scope factory): every muscle entry in
-  /// this registry — both layers, duration and cardinality — is estimated by
-  /// a fresh clone of the configured estimator. The versioned/COW snapshot
-  /// semantics are estimator-agnostic: snapshots carry values, not
-  /// estimator state.
-  explicit EstimateRegistry(const EstimatorConfig& estimator,
                             EstimationScope scope = EstimationScope::kAggregate);
 
   /// Record an observation at a known nesting depth (both layers updated).
@@ -205,11 +198,7 @@ class EstimateRegistry {
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
-  /// Smoothing of the configured estimator (meaningful for kEwma; kept for
-  /// the pre-estimator-family API).
-  double rho() const { return est_cfg_.rho; }
-  /// The per-muscle estimator factory this registry clones from.
-  const EstimatorConfig& estimator_config() const { return est_cfg_; }
+  double rho() const { return rho_; }
   EstimationScope scope() const { return scope_; }
   void clear();
 
@@ -240,7 +229,7 @@ class EstimateRegistry {
   static std::optional<double> card_locked(const Shard& s, std::int64_t key);
   void bump_version();
 
-  EstimatorConfig est_cfg_;
+  double rho_;
   EstimationScope scope_;
   mutable std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> version_{0};

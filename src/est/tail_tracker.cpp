@@ -1,37 +1,27 @@
 #include "est/tail_tracker.hpp"
 
 namespace askel {
-namespace {
-
-std::unique_ptr<Estimator> p2(double q) {
-  EstimatorConfig cfg;
-  cfg.kind = EstimatorKind::kP2Quantile;
-  cfg.quantile = q;
-  return make_estimator(cfg);
-}
-
-}  // namespace
 
 TailTracker::TailTracker(double quantile, Duration target)
     : quantile_(quantile),
       target_(target),
-      tail_est_(p2(quantile)),
-      median_est_(p2(0.5)) {}
+      tail_est_(quantile),
+      median_est_(0.5) {}
 
 void TailTracker::record(Duration latency) {
   std::lock_guard lock(mu_);
-  tail_est_->observe(latency);
-  median_est_->observe(latency);
+  tail_est_.observe(latency);
+  median_est_.observe(latency);
   if (target_ > 0.0 && latency <= target_) ++met_;
 }
 
 TailSnapshot TailTracker::snapshot() const {
   std::lock_guard lock(mu_);
   TailSnapshot s;
-  s.observations = tail_est_->observations();
+  s.observations = tail_est_.observations();
   s.met = met_;
-  if (tail_est_->has_value()) s.tail = tail_est_->value();
-  if (median_est_->has_value()) s.median = median_est_->value();
+  if (tail_est_.has_value()) s.tail = tail_est_.value();
+  if (median_est_.has_value()) s.median = median_est_.value();
   return s;
 }
 
@@ -43,8 +33,8 @@ double TailTracker::attainment() const {
 
 void TailTracker::reset() {
   std::lock_guard lock(mu_);
-  tail_est_ = tail_est_->clone_fresh();
-  median_est_ = median_est_->clone_fresh();
+  tail_est_ = P2Quantile(quantile_);
+  median_est_ = P2Quantile(0.5);
   met_ = 0;
 }
 

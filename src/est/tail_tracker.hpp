@@ -3,21 +3,19 @@
 //
 // A service tenant's goal is a latency quantile ("p99 under 50 ms"), so the
 // controller needs a constant-memory estimate of that quantile over an
-// unbounded request stream. This reuses the PR 4 estimator family's P²
-// implementation (Jain & Chlamtac) twice — once at the SLO quantile
-// (default q = 0.99) and once at the median — plus exact counters for SLO
-// attainment (the fraction of requests that met the target), which needs no
-// estimation at all.
+// unbounded request stream. It runs the P² estimator (est/p2_quantile.hpp,
+// Jain & Chlamtac) twice — once at the SLO quantile (default q = 0.99) and
+// once at the median — plus exact counters for SLO attainment (the fraction
+// of requests that met the target), which needs no estimation at all.
 //
 // Thread safety: record() is called from worker threads as requests
 // complete; snapshot()/accessors from the controller's evaluation thread.
 // One mutex guards it all — two P² updates are a few dozen flops, far below
 // contention relevance at realistic request rates.
 
-#include <memory>
 #include <mutex>
 
-#include "est/estimator.hpp"
+#include "est/p2_quantile.hpp"
 #include "util/clock.hpp"
 
 namespace askel {
@@ -32,7 +30,7 @@ struct TailSnapshot {
 
 class TailTracker {
  public:
-  /// `quantile` in (0,1) (throws otherwise, via make_estimator); `target` is
+  /// `quantile` in (0,1) (throws otherwise, via P2Quantile); `target` is
   /// the SLO latency used for the attainment counters (0 = no target: only
   /// the quantile estimates are maintained).
   explicit TailTracker(double quantile = 0.99, Duration target = 0.0);
@@ -58,8 +56,8 @@ class TailTracker {
   const double quantile_;
   const Duration target_;
   mutable std::mutex mu_;
-  std::unique_ptr<Estimator> tail_est_;
-  std::unique_ptr<Estimator> median_est_;
+  P2Quantile tail_est_;
+  P2Quantile median_est_;
   long met_ = 0;
 };
 

@@ -24,13 +24,6 @@ PaperExampleReplay::PaperExampleReplay(double rho)
   build_schedule();
 }
 
-PaperExampleReplay::PaperExampleReplay(const EstimatorConfig& estimator)
-    : skel_(make_paper_example_skeleton()),
-      reg_(estimator),
-      trackers_(reg_) {
-  build_schedule();
-}
-
 void PaperExampleReplay::push(TimePoint t, const SkelNode* node, std::int64_t exec,
                               std::int64_t parent, When when, Where where,
                               int muscle_id, int card, int child_index) {

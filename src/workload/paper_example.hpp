@@ -40,10 +40,6 @@ class PaperExampleReplay {
   /// example, so any rho yields the paper's values; 0.5 is the default).
   explicit PaperExampleReplay(double rho = 0.5);
 
-  /// Replay against a non-default estimator (PR 4 A/B harness: the same
-  /// deterministic event stream scored under each estimator family member).
-  explicit PaperExampleReplay(const EstimatorConfig& estimator);
-
   /// Feed every event with timestamp <= t (monotone; call with increasing t).
   void replay_until(TimePoint t);
 

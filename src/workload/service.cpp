@@ -13,7 +13,6 @@
 
 #include "autonomic/controller.hpp"
 #include "autonomic/coordinator.hpp"
-#include "est/quality.hpp"
 #include "util/zipf.hpp"
 #include "workload/calibrated.hpp"
 
@@ -57,6 +56,35 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
 }
 
 }  // namespace
+
+std::vector<double> bursty_stream(std::uint64_t seed, int n) {
+  // mt19937_64 with fixed distributions: the C++ standard pins the engine's
+  // output sequence, and uniform_real_distribution on a fixed libstdc++/
+  // libc++ is stable in practice. The hashes est_test and service_test pin
+  // over this stream hold for one standard library; another may need new
+  // ones.
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> base_pick(0.5, 2.0);
+  std::uniform_real_distribution<double> jitter(0.85, 1.15);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> spike(4.0, 9.0);
+  std::uniform_int_distribution<int> regime_len(25, 55);
+
+  std::vector<double> out;
+  out.reserve(static_cast<std::size_t>(n));
+  double base = base_pick(rng);
+  int left = regime_len(rng);
+  for (int k = 0; k < n; ++k) {
+    if (left-- <= 0) {
+      base = base_pick(rng);
+      left = regime_len(rng);
+    }
+    double v = base * jitter(rng);
+    if (unit(rng) < 0.05) v = base * spike(rng);  // the outlier tail
+    out.push_back(v);
+  }
+  return out;
+}
 
 std::vector<ServiceRequest> generate_service_stream(
     const ServiceStreamConfig& cfg) {

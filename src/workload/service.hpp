@@ -13,10 +13,10 @@
 //    request schedule. The aggregate arrival rate is split across tenants by
 //    Zipf popularity (util/zipf.hpp — hot tenants get proportionally more
 //    traffic), modulated by a diurnal sine and an optional bursty envelope
-//    replayed from the PR 4 stream harness (est/quality.hpp), and realized
-//    per tenant as a thinned non-homogeneous Poisson process. Service
-//    demands are bounded-Pareto (heavy-tailed, like real request costs).
-//    Same seed, same stream — byte for byte.
+//    (bursty_stream below), and realized per tenant as a thinned
+//    non-homogeneous Poisson process. Service demands are bounded-Pareto
+//    (heavy-tailed, like real request costs). Same seed, same stream —
+//    byte for byte.
 //
 //  * run_service_scenario: replays a stream against a shared pool in real
 //    time (open loop: requests are submitted at their scheduled arrival
@@ -55,8 +55,8 @@ struct ServiceStreamConfig {
   double diurnal_amplitude = 0.0;
   double diurnal_period_s = 1.0;
   /// Multiply the rate by a piecewise-constant bursty envelope (regime
-  /// shifts + spikes) replayed from est/quality.hpp's bursty_stream,
-  /// normalized to mean 1 so the expected request count is unchanged.
+  /// shifts + spikes) replayed from bursty_stream, normalized to mean 1 so
+  /// the expected request count is unchanged.
   bool bursty = false;
   int rate_buckets = 8;
 };
@@ -71,6 +71,11 @@ struct ServiceRequest {
 /// Deterministic request schedule, sorted by arrival time.
 std::vector<ServiceRequest> generate_service_stream(
     const ServiceStreamConfig& cfg);
+
+/// Deterministic bursty duration stream: piecewise-constant base levels
+/// (regime shifts every ~40 samples), multiplicative jitter, and a ~5% rate
+/// of outlier spikes at several times the base. Same seed, same stream.
+std::vector<double> bursty_stream(std::uint64_t seed, int n);
 
 /// Per-tenant goal/weight of a scenario run.
 struct ServiceTenantSpec {

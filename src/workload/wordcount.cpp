@@ -159,7 +159,7 @@ ScenarioResult run_wordcount_scenario(const ScenarioConfig& cfg,
   }
   ResizableThreadPool& pool = shared != nullptr ? *shared : *own_pool;
   EventBus bus;
-  EstimateRegistry reg(cfg.estimator_config(), cfg.scope);
+  EstimateRegistry reg(cfg.rho, cfg.scope);
   TrackerSet trackers(reg);
   bus.add_listener(trackers.as_listener());
   ControllerConfig ccfg;

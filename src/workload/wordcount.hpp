@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "autonomic/controller.hpp"
-#include "est/estimator.hpp"
 #include "skel/typed.hpp"
 #include "util/time_series.hpp"
 #include "workload/calibrated.hpp"
@@ -98,20 +97,6 @@ struct ScenarioConfig {
   /// coordinator is set — a shared pool's backend belongs to its owner.
   ScenarioBackend backend = ScenarioBackend::kThread;
   double rho = 0.5;                // estimator smoothing (EWMA)
-  /// Which WCT/cardinality estimator this tenant's registry runs (the PR 4
-  /// estimator family; kEwma reproduces the paper, bit-identical). `rho`
-  /// above stays the EWMA smoothing knob; `estimator_window` and
-  /// `estimator_quantile` parameterize the windowed and P² kinds.
-  EstimatorKind estimator = EstimatorKind::kEwma;
-  int estimator_window = 16;
-  double estimator_quantile = 0.9;
-  /// The assembled per-tenant estimator factory.
-  EstimatorConfig estimator_config() const {
-    return EstimatorConfig{.kind = estimator,
-                           .rho = rho,
-                           .window = estimator_window,
-                           .quantile = estimator_quantile};
-  }
   /// kAggregate = the paper's per-muscle estimates (shared fs conflates the
   /// 6.4 s outer and 0.91 s inner splits); kPerDepth = this repo's
   /// context-sensitive extension (see ablation_context bench).

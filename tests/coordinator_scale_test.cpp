@@ -1,6 +1,5 @@
 // PR 7 scale features: the active-set index under churn (property-tested
-// against a ground-truth model), hierarchical groups, and the adaptive
-// weight policy with its deterministic quality grading.
+// against a ground-truth model) and hierarchical groups.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "autonomic/coordinator.hpp"
-#include "autonomic/policy_quality.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace askel {
@@ -223,93 +221,6 @@ TEST(GroupedPolicy, GroupMembershipSurvivesReArmAndResetsOnRecycle) {
   const int reused = coord.register_tenant("fresh");
   ASSERT_EQ(reused, t);  // ids are recycled
   EXPECT_EQ(coord.tenant_group(reused), 0);
-}
-
-// ------------------------------------------------------------- adaptive --
-
-// A tenant that keeps reporting pressure gains boost (up to the ceiling) and
-// out-grants an equal-weight tenant under the same weighted fill; once
-// the pressure clears, the boost decays back to 1.
-TEST(AdaptivePolicy, BoostRisesOnSustainedMissAndDecaysOnSlack) {
-  AdaptiveWeightPolicy adaptive;
-  std::vector<TenantDemand> demands(2);
-  demands[0] = {.tenant = 1, .desired = 8, .pressure = 1.5};
-  demands[1] = {.tenant = 2, .desired = 8, .pressure = 0.0};
-  std::vector<int> grants;
-  for (int round = 0; round < 12; ++round) {
-    grants.assign(demands.size(), 0);
-    adaptive.arbitrate(8, demands, grants);
-  }
-  EXPECT_GT(adaptive.boost(1), 2.0);
-  EXPECT_DOUBLE_EQ(adaptive.boost(2), 1.0);
-  EXPECT_GT(grants[0], grants[1]);
-
-  demands[0].pressure = 0.0;  // backlog cleared
-  for (int round = 0; round < 40; ++round) {
-    grants.assign(demands.size(), 0);
-    adaptive.arbitrate(8, demands, grants);
-  }
-  EXPECT_DOUBLE_EQ(adaptive.boost(1), 1.0);
-}
-
-// A boost scales the tenant's member weight, never its group's weight: a
-// pressured tenant takes share from its own group-mates only, and the other
-// group keeps exactly the grant the unboosted two-level fill gives it.
-TEST(AdaptivePolicy, BoostShiftsSharesOnlyWithinTheGroup) {
-  std::vector<TenantDemand> demands(3);
-  demands[0] = {.tenant = 1, .desired = 12, .pressure = 1.5, .group = 1};
-  demands[1] = {.tenant = 2, .desired = 12, .group = 1};
-  demands[2] = {.tenant = 3, .desired = 12, .group = 2};
-  std::vector<int> plain(demands.size(), 0);
-  WeightedSharePolicy().arbitrate(12, demands, plain);
-  ASSERT_EQ(plain, (std::vector<int>{3, 3, 6}));
-
-  AdaptiveWeightPolicy adaptive;
-  std::vector<int> grants;
-  for (int round = 0; round < 12; ++round) {
-    grants.assign(demands.size(), 0);
-    adaptive.arbitrate(12, demands, grants);
-  }
-  ASSERT_GT(adaptive.boost(1), 2.0);
-  EXPECT_EQ(grants, (std::vector<int>{5, 1, 6}));
-}
-
-// Boost state for tenants that leave the demand vector is dropped — the
-// table stays O(armed), and a disarm/re-arm cycle starts from base weight.
-TEST(AdaptivePolicy, BoostStateIsDroppedWithTheTenant) {
-  AdaptiveWeightPolicy adaptive;
-  std::vector<TenantDemand> demands(1);
-  demands[0] = {.tenant = 1, .desired = 8, .pressure = 2.0};
-  std::vector<int> grants;
-  for (int round = 0; round < 5; ++round) {
-    grants.assign(demands.size(), 0);
-    adaptive.arbitrate(8, demands, grants);
-  }
-  ASSERT_GT(adaptive.boost(1), 1.0);
-  demands[0].tenant = 2;  // tenant 1 vanished from the armed set
-  grants.assign(demands.size(), 0);
-  adaptive.arbitrate(8, demands, grants);
-  EXPECT_DOUBLE_EQ(adaptive.boost(1), 1.0);
-}
-
-// The quality harness is seeded and deterministic: two replays of the same
-// trace produce identical scores, and the adaptive policy must not lose to
-// the static weighted fill it boosts on miss rate — the ranking anchor.
-TEST(PolicyQuality, SeededRankingIsDeterministicAndAdaptiveBeatsStatic) {
-  const std::vector<DemandRound> trace = demand_trace(42, 6, 200, 16);
-
-  WeightedSharePolicy weighted1, weighted2;
-  AdaptiveWeightPolicy adaptive1, adaptive2;
-  const PolicyQuality w1 = replay_policy(weighted1, 16, trace);
-  const PolicyQuality w2 = replay_policy(weighted2, 16, trace);
-  const PolicyQuality a1 = replay_policy(adaptive1, 16, trace);
-  const PolicyQuality a2 = replay_policy(adaptive2, 16, trace);
-
-  EXPECT_DOUBLE_EQ(w1.miss_rate, w2.miss_rate);
-  EXPECT_DOUBLE_EQ(a1.miss_rate, a2.miss_rate);
-  EXPECT_DOUBLE_EQ(w1.churn, w2.churn);
-  ASSERT_GT(w1.pressured_rows, 0) << "trace is uncontended — grading vacuous";
-  EXPECT_LE(a1.miss_rate, w1.miss_rate);
 }
 
 }  // namespace

@@ -381,6 +381,10 @@ TEST(Coordinator, SingleArmedControllerMatchesUncoordinatedByteForByte) {
     EXPECT_DOUBLE_EQ(plain[i].best_effort_wct, sharded[i].best_effort_wct);
     EXPECT_DOUBLE_EQ(plain[i].current_lp_wct, sharded[i].current_lp_wct);
   }
+  // And the paper's published outcome: the controller raises LP 2 -> 3 to
+  // meet the 100 s goal.
+  EXPECT_EQ(plain.front().from_lp, 2);
+  EXPECT_EQ(plain.front().to_lp, 3);
 }
 
 TEST(Coordinator, GoalPressureIsRelativeMiss) {

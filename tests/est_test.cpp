@@ -1,16 +1,20 @@
-// Tests for est/: the paper's history-based estimator and the registry.
+// Tests for est/: the paper's history-based estimator, the P² quantile and
+// the registry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <random>
 #include <thread>
 #include <vector>
 
 #include "est/ewma.hpp"
-#include "est/quality.hpp"
+#include "est/p2_quantile.hpp"
 #include "est/registry.hpp"
+#include "workload/service.hpp"
 
 namespace askel {
 namespace {
@@ -64,6 +68,7 @@ TEST(Ewma, InitSeedsWithoutCountingObservation) {
 TEST(Ewma, RejectsRhoOutsideUnitInterval) {
   EXPECT_THROW(Ewma(-0.1), std::invalid_argument);
   EXPECT_THROW(Ewma(1.1), std::invalid_argument);
+  EXPECT_THROW(Ewma(std::nan("")), std::invalid_argument);
 }
 
 TEST(Ewma, ValueStaysWithinObservedRange) {
@@ -311,43 +316,20 @@ TEST(RegistryVersion, MutatingASnapshotCopyDetachesIt) {
   EXPECT_DOUBLE_EQ(*reg.snapshot().t(7), 3.0);  // registry cache untouched
 }
 
-// --------------------------------------------------- estimator family --
+// ------------------------------------------------- registry construction --
 
 TEST(RegistryEstimator, DefaultConfigIsThePaperEwma) {
-  EstimateRegistry reg(0.25);
-  EXPECT_EQ(reg.estimator_config().kind, EstimatorKind::kEwma);
-  EXPECT_DOUBLE_EQ(reg.estimator_config().rho, 0.25);
-  EXPECT_DOUBLE_EQ(reg.rho(), 0.25);
+  EXPECT_DOUBLE_EQ(EstimateRegistry().rho(), 0.5);
+  EXPECT_DOUBLE_EQ(EstimateRegistry(0.25).rho(), 0.25);
 }
 
-TEST(RegistryEstimator, WindowMedianRegistryIgnoresASpike) {
-  EstimateRegistry reg(
-      EstimatorConfig{.kind = EstimatorKind::kWindowMedian, .window = 5});
-  for (const double v : {1.0, 1.1, 0.9, 50.0, 1.0}) reg.observe_duration(3, v);
-  EXPECT_DOUBLE_EQ(*reg.t(3), 1.0);  // median shrugs the 50.0 outlier off
-  // The paper's EWMA on the same stream chases the spike.
-  EstimateRegistry ewma(0.5);
-  for (const double v : {1.0, 1.1, 0.9, 50.0, 1.0}) ewma.observe_duration(3, v);
-  EXPECT_GT(*ewma.t(3), 5.0);
+TEST(RegistryEstimator, BadConfigThrowsAtConstruction) {
+  EXPECT_THROW(EstimateRegistry(-0.1), std::invalid_argument);
+  EXPECT_THROW(EstimateRegistry(1.5), std::invalid_argument);
+  EXPECT_THROW(EstimateRegistry(std::nan("")), std::invalid_argument);
 }
 
-TEST(RegistryEstimator, WindowMeanForgetsBeyondTheWindow) {
-  EstimateRegistry reg(
-      EstimatorConfig{.kind = EstimatorKind::kWindowMean, .window = 2});
-  reg.observe_duration(1, 100.0);
-  reg.observe_duration(1, 2.0);
-  reg.observe_duration(1, 4.0);  // the 100.0 has left the window
-  EXPECT_DOUBLE_EQ(*reg.t(1), 3.0);
-}
-
-TEST(RegistryEstimator, P2QuantileRegistryTracksTheUpperTail) {
-  EstimateRegistry reg(
-      EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = 0.9});
-  for (int k = 1; k <= 100; ++k) reg.observe_duration(9, static_cast<double>(k));
-  // The streaming 0.9-quantile of 1..100 lands near 90 — far above the mean.
-  EXPECT_GT(*reg.t(9), 75.0);
-  EXPECT_LE(*reg.t(9), 100.0);
-}
+// ------------------------------------------------------------- P² quantile --
 
 /// Exact nearest-rank quantile of a copy of `v`.
 double exact_quantile(std::vector<double> v, double q) {
@@ -371,97 +353,69 @@ TEST(P2Quantile, TracksExactP99OnHeavyTailedStream) {
       const double u = std::max(1e-12, 1.0 - u01(rng));
       lat.push_back(std::min(1.0, 0.01 * std::pow(u, -1.0 / 1.5)));
     }
-    const auto est = make_estimator(
-        EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = 0.99});
-    for (const double v : lat) est->observe(v);
+    P2Quantile est(0.99);
+    for (const double v : lat) est.observe(v);
     const double exact = exact_quantile(lat, 0.99);
-    EXPECT_NEAR(est->value(), exact, 0.25 * exact) << "seed " << seed;
+    EXPECT_NEAR(est.value(), exact, 0.25 * exact) << "seed " << seed;
   }
 }
 
 TEST(P2Quantile, TracksExactP99OnBurstyStream) {
-  // The PR 4 seeded regime-shift stream: piecewise-constant levels + spikes.
+  // The seeded regime-shift stream: piecewise-constant levels + spikes.
   // P² lands within ~3% here; 15% is the pinned bound.
   const std::vector<double> stream = bursty_stream(99, 4000);
-  const auto est = make_estimator(
-      EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = 0.99});
-  for (const double v : stream) est->observe(v);
+  P2Quantile est(0.99);
+  for (const double v : stream) est.observe(v);
   const double exact = exact_quantile(stream, 0.99);
-  EXPECT_NEAR(est->value(), exact, 0.15 * exact);
+  EXPECT_NEAR(est.value(), exact, 0.15 * exact);
+}
+
+/// FNV-1a 64 over the bytes of `v`, continuing from `h`.
+template <class T>
+std::uint64_t fnv1a(std::uint64_t h, T v) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The q = 0.99 and q = 0.5 estimates after every observation of the seeded
+// bursty stream, bit for bit: the arithmetic TailTracker runs. Any change to
+// the P² update or its bootstrap shows up here.
+TEST(P2Quantile, EstimatesArePinnedBitForBit) {
+  constexpr std::uint64_t kBurstyP2Hash = 0xdaaa463e7d16edaeull;
+  P2Quantile tail(0.99);
+  P2Quantile median(0.5);
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const double v : bursty_stream(99, 4000)) {
+    tail.observe(v);
+    median.observe(v);
+    hash = fnv1a(hash, tail.value());
+    hash = fnv1a(hash, median.value());
+  }
+  EXPECT_EQ(hash, kBurstyP2Hash);
 }
 
 TEST(P2Quantile, TailDominatesMedianThroughout) {
   // Two P² estimators over one heavy-tailed stream: after the 5-sample
   // bootstrap settles, the q=0.99 estimate must never fall under the median
   // (the SLO controller's increase/decrease bands assume this ordering).
-  const auto tail = make_estimator(
-      EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = 0.99});
-  const auto median = make_estimator(
-      EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = 0.5});
+  P2Quantile tail(0.99);
+  P2Quantile median(0.5);
   std::mt19937_64 rng(17);
   std::uniform_real_distribution<double> u01(0.0, 1.0);
   for (int k = 1; k <= 2000; ++k) {
     const double u = std::max(1e-12, 1.0 - u01(rng));
     const double v = std::min(1.0, 0.01 * std::pow(u, -1.0 / 1.5));
-    tail->observe(v);
-    median->observe(v);
+    tail.observe(v);
+    median.observe(v);
     if (k >= 20) {
-      EXPECT_GE(tail->value(), median->value()) << "at observation " << k;
+      EXPECT_GE(tail.value(), median.value()) << "at observation " << k;
     }
   }
-}
-
-TEST(RegistryEstimator, ConfigAppliesToBothLayersAndCardinality) {
-  EstimateRegistry reg(
-      EstimatorConfig{.kind = EstimatorKind::kWindowMedian, .window = 3},
-      EstimationScope::kPerDepth);
-  for (const double v : {5.0, 5.0, 40.0}) reg.observe_cardinality(2, 1, v);
-  EXPECT_DOUBLE_EQ(*reg.cardinality(2, 1), 5.0);  // per-depth layer
-  EXPECT_DOUBLE_EQ(*reg.cardinality(2), 5.0);     // aggregate layer
-}
-
-TEST(RegistryEstimator, VersionedSnapshotSemanticsAreEstimatorAgnostic) {
-  // The PR 1 contract — clean snapshots are cached and COW-shared, writes
-  // invalidate — must hold for every family member, not just the EWMA.
-  EstimateRegistry reg(
-      EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = 0.5});
-  for (int m = 0; m < 10; ++m) reg.observe_duration(m, 1.0 + m);
-  const Estimates a = reg.snapshot();
-  const Estimates b = reg.snapshot();
-  for (std::size_t i = 0; i < Estimates::kFragments; ++i) {
-    EXPECT_EQ(a.fragment(i), b.fragment(i));  // clean: cached, shared storage
-  }
-  const std::uint64_t v = reg.version();
-  reg.observe_duration(0, 2.0);
-  EXPECT_GT(reg.version(), v);
-  const Estimates c = reg.snapshot();
-  // The write invalidated exactly the written muscle's fragment.
-  EXPECT_NE(a.fragment(Estimates::fragment_of(0)),
-            c.fragment(Estimates::fragment_of(0)));
-  EXPECT_DOUBLE_EQ(*a.t(0), 1.0);         // old snapshot immune to the write
-}
-
-TEST(RegistryEstimator, InitFromTransfersAcrossDifferentEstimators) {
-  // Scenario 2 seeding carries VALUES, not estimator state: a registry of
-  // one kind can initialize a registry of another.
-  EstimateRegistry first(0.5);
-  first.observe_duration(1, 6.4);
-  EstimateRegistry second(
-      EstimatorConfig{.kind = EstimatorKind::kWindowMean, .window = 4});
-  second.init_from(first.snapshot());
-  EXPECT_DOUBLE_EQ(*second.t(1), 6.4);
-  second.observe_duration(1, 2.4);  // seed + one observation, mean of both
-  EXPECT_DOUBLE_EQ(*second.t(1), 4.4);
-}
-
-TEST(RegistryEstimator, BadConfigThrowsAtConstruction) {
-  EXPECT_THROW(EstimateRegistry(EstimatorConfig{.kind = EstimatorKind::kEwma,
-                                                .rho = -0.1}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      EstimateRegistry(EstimatorConfig{.kind = EstimatorKind::kWindowMean,
-                                       .window = 0}),
-      std::invalid_argument);
 }
 
 TEST(RegistryPerDepth, KeyRoundTrips) {

@@ -1,16 +1,18 @@
 // Property-based tests: invariants of the schedulers over randomized DAGs
-// (seeded, deterministic) and parameterized sweeps of the estimator family.
+// (seeded, deterministic) and parameterized sweeps of the two estimators
+// (the paper's EWMA and the P² quantile).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
-#include "est/estimator.hpp"
 #include "est/ewma.hpp"
+#include "est/p2_quantile.hpp"
 
 namespace askel {
 namespace {
@@ -195,9 +197,9 @@ TEST_P(EwmaSweep, StaysWithinObservedHull) {
 INSTANTIATE_TEST_SUITE_P(Rhos, EwmaSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0));
 
-// -------------------------------------------- estimator-family properties --
+// ----------------------------------------------------- estimator properties --
 
-/// Seeded random positive stream shared by the family invariants below.
+/// Seeded random positive stream shared by the estimator invariants below.
 std::vector<double> random_stream(std::uint64_t seed, int n, double lo = 0.5,
                                   double hi = 12.0) {
   std::mt19937_64 rng(seed);
@@ -208,134 +210,64 @@ std::vector<double> random_stream(std::uint64_t seed, int n, double lo = 0.5,
   return out;
 }
 
-class EstimatorFamilySeeds : public ::testing::TestWithParam<std::uint64_t> {};
+class EstimatorSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EstimatorFamilySeeds, WindowEstimatorsDependOnlyOnTheLastWObservations) {
-  // Two estimators fed DIFFERENT histories but the same last W observations
-  // must agree exactly: nothing older than the window may leave a trace
-  // (unlike the EWMA, whose every estimate carries the whole history).
-  for (const EstimatorKind kind :
-       {EstimatorKind::kWindowMean, EstimatorKind::kWindowMedian}) {
-    for (const int w : {1, 4, 16}) {
-      const EstimatorConfig cfg{.kind = kind, .window = w};
-      const std::vector<double> history_a = random_stream(GetParam(), 60);
-      const std::vector<double> history_b = random_stream(GetParam() + 1000, 7);
-      const std::vector<double> suffix = random_stream(GetParam() + 2000, w);
-      const auto a = make_estimator(cfg);
-      const auto b = make_estimator(cfg);
-      for (const double v : history_a) a->observe(v);
-      for (const double v : history_b) b->observe(v);
-      b->init(99.0);  // even a late seed must wash out of the window
-      for (const double v : suffix) {
-        a->observe(v);
-        b->observe(v);
-      }
-      EXPECT_EQ(a->value(), b->value())
-          << to_string(kind) << " W=" << w << " seed=" << GetParam();
-    }
-  }
-}
-
-TEST_P(EstimatorFamilySeeds, P2StaysWithinTheObservedHull) {
+TEST_P(EstimatorSeeds, P2StaysWithinTheObservedHull) {
   for (const double q : {0.1, 0.5, 0.9, 0.99}) {
-    const auto est =
-        make_estimator(EstimatorConfig{.kind = EstimatorKind::kP2Quantile,
-                                       .quantile = q});
+    P2Quantile est(q);
     double lo = 1e300, hi = -1e300;
     for (const double v : random_stream(GetParam(), 300)) {
-      est->observe(v);
+      est.observe(v);
       lo = std::min(lo, v);
       hi = std::max(hi, v);
-      EXPECT_GE(est->value(), lo) << "q=" << q;
-      EXPECT_LE(est->value(), hi) << "q=" << q;
+      EXPECT_GE(est.value(), lo) << "q=" << q;
+      EXPECT_LE(est.value(), hi) << "q=" << q;
     }
   }
 }
 
-TEST_P(EstimatorFamilySeeds, P2IsMonotoneInQ) {
+TEST_P(EstimatorSeeds, P2IsMonotoneInQ) {
   // Independent P² estimators over the same stream, increasing q: the
   // estimates must come out ordered (the streaming quantile keeps enough of
   // the distribution's shape that a higher quantile never reads lower).
   const std::vector<double> stream = random_stream(GetParam(), 500);
   double prev = -1e300;
   for (const double q : {0.05, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const auto est = make_estimator(
-        EstimatorConfig{.kind = EstimatorKind::kP2Quantile, .quantile = q});
-    for (const double v : stream) est->observe(v);
-    EXPECT_GE(est->value() + 1e-9, prev) << "q=" << q << " seed=" << GetParam();
-    prev = est->value();
+    P2Quantile est(q);
+    for (const double v : stream) est.observe(v);
+    EXPECT_GE(est.value() + 1e-9, prev) << "q=" << q << " seed=" << GetParam();
+    prev = est.value();
   }
 }
 
-TEST_P(EstimatorFamilySeeds, EwmaViaInterfaceIsBitIdenticalToLegacy) {
-  // The interface wrapper must not change a single bit of the paper's
-  // estimator: same stream, same init, exact (==) equality at every step.
-  for (const double rho : {0.0, 0.3, 0.5, 1.0}) {
-    Ewma legacy(rho);
-    const auto wrapped =
-        make_estimator(EstimatorConfig{.kind = EstimatorKind::kEwma, .rho = rho});
-    legacy.init(4.25);
-    wrapped->init(4.25);
-    for (const double v : random_stream(GetParam(), 200)) {
-      legacy.observe(v);
-      wrapped->observe(v);
-      ASSERT_EQ(legacy.value(), wrapped->value()) << "rho=" << rho;
-    }
-    EXPECT_EQ(legacy.observations(), wrapped->observations());
-  }
+/// The contract Ewma and P2Quantile share: has_value flips on the first
+/// init/observe, value() degrades to 0.0 before it (no UB, no NaN), and
+/// observations() counts real observations only.
+template <class Est>
+void check_estimate_contract(Est est, std::uint64_t seed) {
+  EXPECT_FALSE(est.has_value());
+  EXPECT_EQ(est.value(), 0.0);
+  est.init(3.0);
+  EXPECT_TRUE(est.has_value());
+  EXPECT_EQ(est.observations(), 0);
+  EXPECT_EQ(est.value(), 3.0);
+  for (const double v : random_stream(seed, 50)) est.observe(v);
+  EXPECT_EQ(est.observations(), 50);
 }
 
-TEST_P(EstimatorFamilySeeds, WholeFamilySharesTheInterfaceContract) {
-  // has_value flips on the first init/observe; a fresh clone starts empty;
-  // observations() counts real observations only.
-  for (const EstimatorKind kind :
-       {EstimatorKind::kEwma, EstimatorKind::kWindowMean,
-        EstimatorKind::kWindowMedian, EstimatorKind::kP2Quantile}) {
-    const auto est = make_estimator(EstimatorConfig{.kind = kind});
-    EXPECT_FALSE(est->has_value()) << to_string(kind);
-    // Out-of-contract value() before any sample degrades to 0.0 (the legacy
-    // Ewma's lenient behavior) on every member — no UB, no NaN.
-    EXPECT_EQ(est->value(), 0.0) << to_string(kind);
-    est->init(3.0);
-    EXPECT_TRUE(est->has_value()) << to_string(kind);
-    EXPECT_EQ(est->observations(), 0) << to_string(kind);
-    EXPECT_EQ(est->value(), 3.0) << to_string(kind);
-    for (const double v : random_stream(GetParam(), 50)) est->observe(v);
-    EXPECT_EQ(est->observations(), 50) << to_string(kind);
-    const auto fresh = est->clone_fresh();
-    EXPECT_EQ(fresh->kind(), kind);
-    EXPECT_FALSE(fresh->has_value()) << to_string(kind);
-    EXPECT_EQ(fresh->observations(), 0) << to_string(kind);
-  }
+TEST_P(EstimatorSeeds, EwmaAndP2ShareTheEstimateContract) {
+  check_estimate_contract(Ewma(0.5), GetParam());
+  check_estimate_contract(P2Quantile(0.9), GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EstimatorFamilySeeds,
+INSTANTIATE_TEST_SUITE_P(Seeds, EstimatorSeeds,
                          ::testing::Values(3, 7, 11, 19, 42));
 
-TEST(EstimatorFamily, FactoryRejectsBadParameters) {
-  EXPECT_THROW(make_estimator(EstimatorConfig{.kind = EstimatorKind::kEwma,
-                                              .rho = 1.5}),
-               std::invalid_argument);
-  EXPECT_THROW(make_estimator(EstimatorConfig{.kind = EstimatorKind::kWindowMean,
-                                              .window = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(make_estimator(EstimatorConfig{.kind = EstimatorKind::kP2Quantile,
-                                              .quantile = 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(make_estimator(EstimatorConfig{.kind = EstimatorKind::kP2Quantile,
-                                              .quantile = 0.0}),
-               std::invalid_argument);
-}
-
-TEST(EstimatorFamily, KindNamesRoundTrip) {
-  for (const EstimatorKind kind :
-       {EstimatorKind::kEwma, EstimatorKind::kWindowMean,
-        EstimatorKind::kWindowMedian, EstimatorKind::kP2Quantile}) {
-    const auto parsed = estimator_kind_from_string(to_string(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_FALSE(estimator_kind_from_string("kalman").has_value());
+TEST(Estimators, ConstructorsRejectBadParameters) {
+  EXPECT_THROW(Ewma(1.5), std::invalid_argument);
+  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
+  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
+  EXPECT_THROW(P2Quantile(std::nan("")), std::invalid_argument);
 }
 
 // A higher rho reacts faster to a regime change (the paper's discussion of

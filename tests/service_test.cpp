@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "autonomic/controller.hpp"
@@ -99,6 +101,44 @@ TEST(ServiceStream, BurstyEnvelopePreservesExpectedVolume) {
   // The envelope is normalized to mean 1, so volume moves by noise, not 2x.
   EXPECT_GT(bursty, 0.6 * plain);
   EXPECT_LT(bursty, 1.6 * plain);
+}
+
+TEST(ServiceStream, BurstyStreamIsSeedDeterministic) {
+  const std::vector<double> a = bursty_stream(42, 400);
+  const std::vector<double> b = bursty_stream(42, 400);
+  ASSERT_EQ(a.size(), 400u);
+  EXPECT_EQ(a, b);  // exact: same seed, same stream
+  const std::vector<double> c = bursty_stream(43, 400);
+  EXPECT_NE(a, c);  // and the seed actually matters
+}
+
+/// FNV-1a 64 over the bytes of `v`, continuing from `h`.
+template <class T>
+std::uint64_t fnv1a(std::uint64_t h, T v) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The bursty schedule for seed 42 (default shape otherwise), bit for bit:
+// arrivals, tenants and demands. A change to bursty_stream or to the
+// generator's draw order shows up here.
+TEST(ServiceStream, BurstyScheduleIsPinnedBitForBit) {
+  constexpr std::uint64_t kBurstyScheduleHash = 0xd997d9cabbdf7e91ull;
+  ServiceStreamConfig cfg;
+  cfg.seed = 42;
+  cfg.bursty = true;
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const ServiceRequest& r : generate_service_stream(cfg)) {
+    hash = fnv1a(hash, r.arrival);
+    hash = fnv1a(hash, r.tenant);
+    hash = fnv1a(hash, r.work);
+  }
+  EXPECT_EQ(hash, kBurstyScheduleHash);
 }
 
 // ------------------------------------------------------------ tail tracker --

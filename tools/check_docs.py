@@ -11,10 +11,19 @@
    in docs/architecture.md. When a PR adds src/<new-subsystem>/ without
    documenting it, this fails the build instead of relying on review memory.
 
+3. Path check — every repo path named in a `code span` of README.md,
+   docs/architecture.md, docs/coordinator.md or docs/scenarios.md must exist:
+   src/, bench/, tests/, tools/ and examples/ paths (globs and {a,b}
+   alternatives expanded), and the <subsystem>/<file>.hpp|.cpp shorthand the
+   docs use for src/. A bench program name (`bench/multi_tenant --smoke`)
+   passes when bench/<name>.cpp exists. docs/perf.md is a dated log of
+   measurements and is exempt: it names files as they were at the time.
+
 Usage: tools/check_docs.py [repo_root]   (default: the repo containing this
 script). Exits nonzero with one line per problem.
 """
 
+import glob
 import os
 import re
 import sys
@@ -82,18 +91,75 @@ def check_architecture_coverage(root):
     return problems
 
 
+PATH_DOCS = ["README.md", "docs/architecture.md", "docs/coordinator.md",
+             "docs/scenarios.md"]
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+REPO_PATH_RE = re.compile(
+    r"(?<![\w./-])((?:src|bench|tests|tools|examples)/[\w./*{},-]*)")
+
+
+def expand_braces(path):
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out += expand_braces(path[:m.start()] + alt + path[m.end():])
+    return out
+
+
+def path_exists(root, path):
+    full = os.path.join(root, path)
+    if "*" in path:
+        return bool(glob.glob(full))
+    if os.path.exists(full):
+        return True
+    # A bench program is named by its binary: bench/<name> -> bench/<name>.cpp.
+    name, ext = os.path.splitext(path)
+    return path.startswith("bench/") and not ext and os.path.isfile(
+        os.path.join(root, name + ".cpp"))
+
+
+def check_paths(root):
+    problems = []
+    checked = 0
+    src = os.path.join(root, "src")
+    subsystems = sorted(
+        d for d in os.listdir(src) if os.path.isdir(os.path.join(src, d)))
+    short_re = re.compile(r"(?<![\w./-])((?:%s)/[\w.*{},-]+)" %
+                          "|".join(map(re.escape, subsystems)))
+    for rel in PATH_DOCS:
+        path = os.path.join(root, rel)
+        if not os.path.isfile(path):
+            continue
+        for span in CODE_SPAN_RE.findall(open(path, encoding="utf-8").read()):
+            named = [(m, m) for m in REPO_PATH_RE.findall(span)]
+            # Shorthand for src/: only file names, not prose like "fig5/6/7".
+            named += [("src/" + m, m) for m in short_re.findall(span)
+                      if re.search(r"\.(hpp|cpp|\*|\{[\w,]+\})$", m)]
+            for target, shown in named:
+                for candidate in expand_braces(target.rstrip(".,;:")):
+                    checked += 1
+                    if not path_exists(root, candidate):
+                        problems.append(f"{rel}: names `{shown}`, but "
+                                        f"{candidate} does not exist")
+    return checked, problems
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
         else os.path.join(os.path.dirname(__file__), ".."))
     checked, problems = check_links(root)
     problems += check_architecture_coverage(root)
+    paths, path_problems = check_paths(root)
+    problems += path_problems
     if problems:
         for p in problems:
             print(f"FAIL {p}")
         return 1
     print(f"ok: {checked} relative links resolve; every src/* subsystem is "
-          "covered by docs/architecture.md")
+          f"covered by docs/architecture.md; {paths} named paths exist")
     return 0
 
 
