@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf-trajectory runner: builds Release, runs the hot-path microbenchmarks,
 # the WCT-algorithm comparison and the multi-tenant coordinator scenarios, and
-# distills the numbers every perf PR tracks into BENCH_PR<N>.json:
+# distills the numbers every perf PR tracks into one JSON file:
 #   * EventBus dispatch ns/op (0/1/4/16 listeners, 4-thread contended),
 #   * pool churn tasks/sec at LP in {1, 4, 8},
 #   * EstimateRegistry snapshot cost, clean (cached) vs dirty (rebuild),
@@ -40,7 +40,9 @@
 # Usage: bench/run_bench.sh [--smoke] [output.json]
 #   --smoke: CI smoke mode — tiny iteration counts, no timing assertions;
 #            proves the bench pipeline runs and uploads an inspectable JSON.
-#   default output: BENCH_PR10.json in cwd.
+#   default output: BENCH_LOCAL.json in cwd (git-ignored). Name the file
+#            yourself to keep a run, but never after a checked-in baseline:
+#            CI's check_regression.py gates against those.
 
 set -euo pipefail
 
@@ -52,7 +54,7 @@ for arg in "$@"; do
     *) out_json="${arg}" ;;
   esac
 done
-out_json="${out_json:-BENCH_PR10.json}"
+out_json="${out_json:-BENCH_LOCAL.json}"
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-bench"
@@ -177,7 +179,6 @@ def items_per_sec(name):
     return round(b["items_per_second"]) if b and "items_per_second" in b else None
 
 out = {
-    "pr": 10,
     "smoke": sys.argv[6] == "1",
     "context": raw.get("context", {}),
     "event_dispatch_ns": {

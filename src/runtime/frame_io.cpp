@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,25 +14,40 @@
 namespace askel {
 namespace frame_io {
 
-bool write_full(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t at = 0;
-  while (at < size) {
-    // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the process.
-    const ssize_t n = ::send(fd, data + at, size - at, MSG_NOSIGNAL);
-    if (n > 0) {
-      at += static_cast<std::size_t>(n);
-      continue;
-    }
-    // EINTR after a partial write resumes at `at` — progress is never lost.
-    if (n < 0 && errno == EINTR) continue;
-    // n == 0: a blocking stream send never legitimately writes nothing;
-    // treating it as retryable would spin forever on a broken socket.
-    return false;
-  }
-  return true;
-}
-
 namespace {
+
+/// Write every byte of `iov[0, count)` with one sendmsg per attempt, so a
+/// frame's header and payload leave together. A partial write or EINTR
+/// resumes at the first unwritten byte, across iovec boundaries; empty
+/// iovecs are skipped. The entries are consumed in place.
+bool write_iov(int fd, struct iovec* iov, std::size_t count) {
+  struct msghdr msg {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  std::size_t done = 0;  // bytes the last sendmsg wrote
+  for (;;) {
+    // Drop the iovecs the last write finished, then trim the one it cut.
+    while (msg.msg_iovlen > 0 && done >= msg.msg_iov->iov_len) {
+      done -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen == 0) return true;
+    msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + done;
+    msg.msg_iov->iov_len -= done;
+    // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the process.
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n > 0) {
+      done = static_cast<std::size_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      done = 0;  // the progress so far is already in the iovecs
+    } else {
+      // n == 0: a blocking stream send never legitimately writes nothing;
+      // treating it as retryable would spin forever on a broken socket.
+      return false;
+    }
+  }
+}
 
 using Deadline = std::chrono::steady_clock::time_point;
 
@@ -41,14 +57,24 @@ Deadline deadline_after(Duration d) {
              std::chrono::duration<double>(std::max(0.0, d)));
 }
 
-/// Fill `data[at, size)` before `deadline`, polling with the REMAINING
-/// time before each read (the deadline never re-arms — a trickling peer
-/// cannot extend the total wait). kFrame once all `size` bytes are in; a
-/// timeout with nothing consumed is a clean kTimeout, one after a partial
+/// Fill `data[at, size)` before `deadline`. Each read tries the socket
+/// first; only when nothing is waiting does it check the deadline and poll
+/// with the REMAINING time (the deadline never re-arms — a trickling peer
+/// cannot extend the total wait). So bytes already buffered are delivered
+/// even once the deadline has passed. kFrame once all `size` bytes are in;
+/// a timeout with nothing consumed is a clean kTimeout, one after a partial
 /// read a kMidFrameStall.
 ReadResult read_until_deadline(int fd, std::uint8_t* data, std::size_t size,
                                Deadline deadline, std::size_t at = 0) {
   while (at < size) {
+    const ssize_t n = ::recv(fd, data + at, size - at, MSG_DONTWAIT);
+    if (n > 0) {
+      at += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n == 0) return ReadResult::kClosed;  // EOF: the peer went away
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return ReadResult::kClosed;
     const double remaining_s =
         std::chrono::duration<double>(deadline -
                                       std::chrono::steady_clock::now())
@@ -64,14 +90,8 @@ ReadResult read_until_deadline(int fd, std::uint8_t* data, std::size_t size,
     do {
       r = ::poll(&pfd, 1, static_cast<int>(std::ceil(remaining_s * 1000.0)));
     } while (r < 0 && errno == EINTR);
-    if (r <= 0) continue;  // loop re-checks the ORIGINAL deadline
-    const ssize_t n = ::read(fd, data + at, size - at);
-    if (n > 0) {
-      at += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return ReadResult::kClosed;  // EOF: the peer went away
+    // Readable, hung up or timed out: the next recv tells which, and the
+    // loop re-checks the ORIGINAL deadline.
   }
   return ReadResult::kFrame;
 }
@@ -105,12 +125,18 @@ std::size_t payload_size(const WireFrame& f) {
 
 bool send_frame(int fd, const WireFrame& f,
                 const std::uint8_t* payload = nullptr, std::size_t size = 0) {
-  const WireFrameBytes bytes = encode_frame(f);
-  return write_full(fd, bytes.data(), bytes.size()) &&
-         (size == 0 || write_full(fd, payload, size));
+  WireFrameBytes bytes = encode_frame(f);
+  struct iovec iov[2] = {{bytes.data(), bytes.size()},
+                         {const_cast<std::uint8_t*>(payload), size}};
+  return write_iov(fd, iov, 2);
 }
 
 }  // namespace
+
+bool write_full(int fd, const std::uint8_t* data, std::size_t size) {
+  struct iovec iov = {const_cast<std::uint8_t*>(data), size};
+  return write_iov(fd, &iov, 1);
+}
 
 ReadResult read_frame(int fd, Duration timeout, WireFrame& out,
                       std::vector<std::uint8_t>* payload) {
@@ -142,8 +168,8 @@ void serve(int fd, std::uint32_t worker, std::uint64_t pid,
     // The wait for a frame's first byte is a blocking read with no
     // deadline; it ends with EOF when the pool goes away or the owner shuts
     // the socket down. The rest of the frame gets a fixed deadline from
-    // that byte on, so a payload written in a second send() is never
-    // mistaken for a torn frame.
+    // that byte on, so a payload that a peer or TCP segmentation delivers
+    // after its header is never mistaken for a torn frame.
     WireFrameBytes head{};
     ssize_t got;
     do {

@@ -10,14 +10,19 @@
 // are the ones that only bite under real network load. The helpers here are
 // that audit, factored once:
 //
-//   * write_full: send() with MSG_NOSIGNAL (a dead peer must surface as
-//     EPIPE, never SIGPIPE), resumes after EINTR *without losing the partial
-//     progress*, and treats n == 0 as a hard error (a blocking stream send
-//     never legitimately writes nothing — looping on it would spin forever);
-//   * read_frame: the deadline-honoring parent-side read. Every poll uses
-//     the REMAINING time to the deadline computed once at entry — the
-//     timeout is never re-armed after a partial read, so a peer trickling
-//     one byte per poll cannot extend the total wait past `timeout`
+//   * one exact write per frame: a frame's header and payload leave in one
+//     sendmsg() with MSG_NOSIGNAL (a dead peer must surface as EPIPE, never
+//     SIGPIPE); a partial write or EINTR resumes at the first unwritten
+//     byte, across the header/payload boundary, *without losing the
+//     partial progress*; n == 0 is a hard error (a blocking stream send
+//     never legitimately writes nothing — looping on it would spin
+//     forever). write_full is the one-buffer form of the same loop;
+//   * read_frame: the deadline-honoring parent-side read. It reads first
+//     and polls, with the REMAINING time to the deadline computed once at
+//     entry, only when nothing is waiting — so bytes already buffered are
+//     delivered even under a zero timeout, and the timeout is never
+//     re-armed after a partial read: a peer trickling one byte per poll
+//     cannot extend the total wait past `timeout`
 //     (tests/tcp_transport_test.cpp pins total wait <= timeout + epsilon).
 //     The result distinguishes a clean timeout (nothing consumed, the
 //     stream is still in sync) from a mid-frame stall (the stream is
@@ -42,9 +47,10 @@
 namespace askel {
 namespace frame_io {
 
-/// Write exactly `size` bytes to a connected stream fd. MSG_NOSIGNAL on
-/// every send; EINTR resumes with the partial progress kept; n == 0 and
-/// every other error return false. Async-signal-safe.
+/// Write exactly `size` bytes to a connected stream fd: the one-buffer form
+/// of the frame write loop. MSG_NOSIGNAL on every sendmsg; a partial write
+/// or EINTR resumes with the progress kept; n == 0 and every other error
+/// return false. Async-signal-safe.
 bool write_full(int fd, const std::uint8_t* data, std::size_t size);
 
 enum class ReadResult {
@@ -55,8 +61,10 @@ enum class ReadResult {
   kGarbage,       // bytes arrived but did not decode / payload oversized
 };
 
-/// Deadline-honoring frame read: poll before EVERY read with the remaining
-/// time to the deadline anchored at entry, never a blocking read. A named
+/// Deadline-honoring frame read, never a blocking read: read first, and
+/// poll with the remaining time to the deadline anchored at entry only when
+/// nothing is waiting (a zero timeout still delivers a frame already
+/// buffered). A named
 /// frame's payload (`out.b` bytes, bounded by kMaxNamedPayload) is read
 /// under the same deadline; `payload` may be null, in which case the bytes
 /// are consumed (keeping the stream in sync) and discarded.

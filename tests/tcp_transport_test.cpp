@@ -9,17 +9,26 @@
 //     uses the remaining time to the deadline anchored at entry, so
 //     progress never re-arms the clock;
 //   * a dead peer surfaces as a failed send (MSG_NOSIGNAL -> EPIPE), never
-//     SIGPIPE — the process surviving these tests IS the assertion.
+//     SIGPIPE — the process surviving these tests IS the assertion;
+//   * a frame leaves in ONE write on both sides (a record-keeping
+//     SOCK_SEQPACKET pair makes the number of writes visible), and arrives
+//     whole when signals keep interrupting that write.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <thread>
 #include <vector>
 
@@ -115,6 +124,22 @@ TEST(FrameIo, TricklingPeerCannotExtendTheDeadline) {
   EXPECT_FALSE(p.transport->alive());   // partial frame = desynced
 }
 
+TEST(FrameIo, ZeroTimeoutDeliversAFrameAlreadyBuffered) {
+  // Transport::recv's contract: 0 = only what is already deliverable. A
+  // deadline that has passed must still hand over a frame that is waiting
+  // whole — a caller out of time books it instead of a loss.
+  Pair p;
+  const WireFrame sent{WireFrameType::kComplete, 2, 7, 0, 0};
+  const WireFrameBytes bytes = encode_frame(sent);
+  ASSERT_TRUE(frame_io::write_full(p.peer, bytes.data(), bytes.size()));
+  WireFrame f;
+  ASSERT_TRUE(p.transport->recv(f, 0.0));
+  EXPECT_EQ(f, sent);
+  // With nothing waiting, zero is a clean timeout on a live link.
+  EXPECT_FALSE(p.transport->recv(f, 0.0));
+  EXPECT_TRUE(p.transport->alive());
+}
+
 // --------------------------------------------------------- peer death ------
 
 TEST(FrameIo, DeadPeerFailsTheSendInsteadOfRaisingSigpipe) {
@@ -188,6 +213,171 @@ TEST(FrameIo, OversizedAdvertisedPayloadPoisonsNeverAllocates) {
   WireFrame f;
   EXPECT_FALSE(p.transport->recv(f, 0.5));
   EXPECT_FALSE(p.transport->alive());  // hostile length = poisoned link
+}
+
+// ------------------------------------------------------ one write each ---
+
+/// A connected AF_UNIX SOCK_SEQPACKET pair. It keeps record boundaries, so
+/// one recv returns what one write sent: the number of writes a frame took
+/// becomes visible. Reads on [1] give up after 5 s instead of hanging.
+struct RecordPair {
+  int fd[2] = {-1, -1};
+
+  RecordPair() {
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fd), 0);
+    const timeval patience{5, 0};
+    EXPECT_EQ(::setsockopt(fd[1], SOL_SOCKET, SO_RCVTIMEO, &patience,
+                           sizeof(patience)),
+              0);
+  }
+  ~RecordPair() {
+    for (const int s : fd) {
+      if (s >= 0) ::close(s);
+    }
+  }
+  using Record = std::array<std::uint8_t, 256>;
+
+  /// The size of the next record on [1], copied into `buf`; -1 on error.
+  ssize_t read_record(Record& buf) {
+    ssize_t n;
+    do {
+      n = ::recv(fd[1], buf.data(), buf.size(), 0);
+    } while (n < 0 && errno == EINTR);
+    return n;
+  }
+};
+
+TEST(FrameIo, PoolSendsHeaderAndPayloadInOneWrite) {
+  RecordPair p;
+  FdTransport pool(p.fd[0]);
+  p.fd[0] = -1;  // the transport owns it now
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5, 6};
+  const WireFrame f{WireFrameType::kSubmitNamed, 0, 1, 7,
+                    static_cast<std::uint64_t>(payload.size())};
+  ASSERT_TRUE(pool.send(f, payload.data(), payload.size()));
+  RecordPair::Record rec{};
+  const ssize_t n = p.read_record(rec);
+  ASSERT_EQ(n, static_cast<ssize_t>(kWireFrameSize + payload.size()));
+  WireFrame got;
+  ASSERT_TRUE(decode_frame(rec.data(), kWireFrameSize, got));
+  EXPECT_EQ(got, f);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                         rec.begin() + kWireFrameSize));
+}
+
+TEST(FrameIo, ServeRepliesWithHeaderAndPayloadInOneWrite) {
+  RecordPair p;
+  const frame_io::NamedHandler reverse =
+      [](std::uint64_t, const std::uint8_t* arg, std::size_t size,
+         std::vector<std::uint8_t>& result) {
+        result.assign(arg, arg + size);
+        std::reverse(result.begin(), result.end());
+        return NamedStatus::kOk;
+      };
+  std::thread worker([&] { frame_io::serve(p.fd[0], 0, 1, 0, reverse); });
+  RecordPair::Record hello{};
+  const ssize_t hello_size = p.read_record(hello);
+  // The call's header and payload arrive as two records, as a peer or TCP
+  // segmentation may split them; the reply must still leave as one.
+  const std::vector<std::uint8_t> arg = {1, 2, 3, 4, 5};
+  const WireFrameBytes head = encode_frame(
+      WireFrame{WireFrameType::kSubmitNamed, 0, 1, 9,
+                static_cast<std::uint64_t>(arg.size())});
+  const bool wrote = frame_io::write_full(p.fd[1], head.data(), head.size()) &&
+                     frame_io::write_full(p.fd[1], arg.data(), arg.size());
+  RecordPair::Record rec{};
+  const ssize_t n = wrote ? p.read_record(rec) : -1;
+  ::shutdown(p.fd[0], SHUT_RDWR);  // the serve loop wakes with EOF
+  worker.join();
+
+  ASSERT_EQ(hello_size, static_cast<ssize_t>(kWireFrameSize));
+  WireFrame f;
+  ASSERT_TRUE(decode_frame(hello.data(), kWireFrameSize, f));
+  EXPECT_EQ(f.type, WireFrameType::kHello);
+  ASSERT_TRUE(wrote);
+  ASSERT_EQ(n, static_cast<ssize_t>(kWireFrameSize + arg.size()));
+  ASSERT_TRUE(decode_frame(rec.data(), kWireFrameSize, f));
+  EXPECT_EQ(f.type, WireFrameType::kResultNamed);
+  EXPECT_EQ(f.seq, 1u);
+  EXPECT_EQ(f.a, static_cast<std::uint64_t>(NamedStatus::kOk));
+  EXPECT_EQ(f.b, arg.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(rec.begin() + kWireFrameSize,
+                                      rec.begin() + n),
+            (std::vector<std::uint8_t>{5, 4, 3, 2, 1}));
+}
+
+/// SIGUSR1 deliveries. A lock-free atomic is safe to touch in a handler.
+std::atomic<int> g_interrupts{0};
+
+TEST(FrameIo, SignalDuringAWriteStillDeliversTheWholeFrame) {
+  // A send buffer far smaller than the frame keeps the writer blocked in
+  // sendmsg while a slow reader drains it. SIGUSR1, installed without
+  // SA_RESTART, cuts that write short (a partial count) or fails it with
+  // EINTR, again and again; every resume must pick up at the first
+  // unwritten byte, so the peer reads header and payload byte for byte.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const int small = 4096;
+  ASSERT_EQ(
+      ::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+  const timeval patience{5, 0};
+  ASSERT_EQ(::setsockopt(sv[1], SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof(patience)),
+            0);
+  struct sigaction on_usr1 {};
+  struct sigaction saved {};
+  on_usr1.sa_handler = [](int) {
+    g_interrupts.fetch_add(1, std::memory_order_relaxed);
+  };
+  sigemptyset(&on_usr1.sa_mask);
+  on_usr1.sa_flags = 0;  // no SA_RESTART: a blocked sendmsg returns early
+  ASSERT_EQ(::sigaction(SIGUSR1, &on_usr1, &saved), 0);
+  g_interrupts.store(0, std::memory_order_relaxed);
+
+  FdTransport writer_end(sv[0]);
+  std::vector<std::uint8_t> payload(kMaxNamedPayload);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 31 + i / 251);
+  }
+  const WireFrame f{WireFrameType::kSubmitNamed, 2, 5, 7,
+                    static_cast<std::uint64_t>(payload.size())};
+  std::atomic<bool> written{false};
+  bool sent = false;
+  std::thread writer([&] {
+    sent = writer_end.send(f, payload.data(), payload.size());
+    written.store(true, std::memory_order_release);
+  });
+  const pthread_t target = writer.native_handle();
+  std::thread interrupter([&written, target] {
+    while (!written.load(std::memory_order_acquire)) {
+      ::pthread_kill(target, SIGUSR1);
+      std::this_thread::sleep_for(200us);
+    }
+  });
+  // The slow reader: 1 KiB at a time with a pause between.
+  std::vector<std::uint8_t> got;
+  std::array<std::uint8_t, 1024> chunk{};
+  while (got.size() < kWireFrameSize + payload.size()) {
+    const ssize_t n = ::recv(sv[1], chunk.data(), chunk.size(), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // timed out or EOF: the frame never completed
+    got.insert(got.end(), chunk.begin(), chunk.begin() + n);
+    std::this_thread::sleep_for(100us);
+  }
+  ::close(sv[1]);  // a writer still blocked fails with EPIPE instead of hanging
+  interrupter.join();
+  writer.join();
+  // The writer thread is gone, so no SIGUSR1 is left pending for it.
+  ::sigaction(SIGUSR1, &saved, nullptr);
+
+  EXPECT_TRUE(sent);
+  EXPECT_GT(g_interrupts.load(std::memory_order_relaxed), 0);
+  ASSERT_EQ(got.size(), kWireFrameSize + payload.size());
+  WireFrame head;
+  ASSERT_TRUE(decode_frame(got.data(), kWireFrameSize, head));
+  EXPECT_EQ(head, f);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                         got.begin() + kWireFrameSize));
 }
 
 // ------------------------------------------------- host + factory, E2E -----
@@ -367,10 +557,11 @@ TEST(TcpBackend, NamedCallEndToEndThroughTheSessionMachine) {
 }
 
 TEST(TcpWorkerHost, NamedPayloadArrivingLateStillGetsItsReply) {
-  // The pool writes a named call's header and payload as two sends; a
-  // descheduled writer can leave a gap between them. Only the wait for a
-  // frame's FIRST byte is unbounded — the payload gets the frame deadline,
-  // so a 150 ms gap is a slow frame, not a torn link.
+  // askel writes a named call's header and payload in one write, but a
+  // peer or TCP segmentation can still split them, and a descheduled writer
+  // can leave a gap between the parts. Only the wait for a frame's FIRST
+  // byte is unbounded — the payload gets the frame deadline, so a 150 ms
+  // gap is a slow frame, not a torn link.
   MuscleTable table;
   const WireMuscleId dbl = table.register_muscle(
       "double", [](const PodValue& v) {
