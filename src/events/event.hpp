@@ -14,8 +14,8 @@
 
 #include <any>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "util/clock.hpp"
 
@@ -39,12 +39,8 @@ enum class Where : std::uint8_t {
 std::string to_string(When w);
 std::string to_string(Where w);
 
-/// Dynamic call-stack of skeleton nodes from the root to the current one
-/// (the `Skeleton[] st` parameter of Skandium's generic listener).
-using Trace = std::vector<const SkelNode*>;
-
-/// One event occurrence. Copied into listeners; the partial solution travels
-/// separately (by value) so listeners can replace it.
+/// One event occurrence, passed to listeners by reference; the partial
+/// solution travels separately (by value) so listeners can replace it.
 struct Event {
   When when = When::kBefore;
   Where where = Where::kSkeleton;
@@ -60,8 +56,11 @@ struct Event {
   int muscle_id = -1;
   /// Engine-clock timestamp.
   TimePoint timestamp = 0.0;
-  /// Dynamic trace root→current.
-  Trace trace;
+  /// Dynamic call-stack of skeleton nodes root→current (the `Skeleton[] st`
+  /// parameter of Skandium's generic listener), borrowed from the emitting
+  /// frame: valid only while the event is being dispatched. A listener that
+  /// keeps it must copy it (or render it with `to_string`) inside `handle`.
+  std::span<const SkelNode* const> trace;
 
   // --- event-specific extras -------------------------------------------
   /// kSplit/kAfter: number of sub-problems produced (the paper's fsCard).

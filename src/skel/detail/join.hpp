@@ -1,33 +1,40 @@
 #pragma once
 // Shared fan-out/fan-in machinery for map, fork and d&c.
 //
-// Each child writes its result into its own slot (no lock needed: slots are
-// disjoint and the atomic decrement orders the final read); the LAST child to
-// finish runs the merge muscle on its own thread, which is what makes the
-// paper's "handler runs on the muscle's thread" guarantee hold for merge
-// events too.
+// One record per fan-out instance holds what its elements share: the
+// context, the frame, the continuation, the split parts and the JoinState.
+// Each element's task and continuation hold a handle to it and the element's
+// index, nothing more. Each child writes its result into its own slot (no
+// lock needed: slots are disjoint and the atomic decrement orders the final
+// read); the LAST child to finish runs the merge muscle on its own thread,
+// which is what makes the paper's "handler runs on the muscle's thread"
+// guarantee hold for merge events too.
 
 #include <atomic>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "skel/node.hpp"
 
-namespace askel::detail {
+namespace askel {
+
+class FanOutNode;
+
+namespace detail {
 
 struct JoinState {
   explicit JoinState(std::size_t n) : remaining(checked_count(n)), results(n) {}
-  std::atomic<int> remaining;
+  /// Written by every arriving element: on a cache line of its own, away
+  /// from the fields every element only reads.
+  alignas(64) std::atomic<int> remaining;
   AnyVec results;
 
  private:
-  /// An empty fan-out has no child to ever call arrive(), so a JoinState for
-  /// it would wait forever — the fan-out nodes run their merge inline when
-  /// the split produces zero parts and must never construct one. The check
-  /// turns a silent hang into an immediate error if a future caller forgets.
-  /// The upper guard keeps the size_t -> int narrowing honest.
+  /// An empty fan-out has no child to ever arrive, so a JoinState for it
+  /// would wait forever — fan_out runs the merge inline when the split
+  /// produces zero parts and never constructs one. The check turns a silent
+  /// hang into an immediate error if a future caller forgets. The upper
+  /// guard keeps the size_t -> int narrowing honest.
   static int checked_count(std::size_t n) {
     if (n == 0)
       throw std::logic_error(
@@ -38,12 +45,13 @@ struct JoinState {
   }
 };
 
-using JoinPtr = std::shared_ptr<JoinState>;
+/// The instance of `node` whose frame is `f`, from its Before-Split event to
+/// its continuation: split `p`, run `node.element(i)` on part i for every
+/// part (spawned in index order), then merge on the last arriver's thread
+/// and pass the result to `cont`. The caller has opened `f` and emitted the
+/// instance's Before-Skeleton event. A throw anywhere in an element's task,
+/// listeners included, fails the run.
+void fan_out(const FanOutNode& node, const CtxPtr& ctx, Frame f, Any p, Cont cont);
 
-/// Deposit `value` in slot `index`; returns true iff this was the last child.
-inline bool arrive(const JoinPtr& join, std::size_t index, Any value) {
-  join->results[index] = std::move(value);
-  return join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
-}
-
-}  // namespace askel::detail
+}  // namespace detail
+}  // namespace askel

@@ -18,13 +18,8 @@ class Engine {
 
   /// Launch one execution of `root` on `input`. Returns immediately; the
   /// computation proceeds on the pool. The returned future completes with
-  /// the result or the first muscle exception.
+  /// the result or the first exception a muscle or a listener throws.
   FuturePtr run(NodePtr root, Any input);
-
-  /// Context of the most recently launched run (null before the first run).
-  /// Exposed for the autonomic controller, which anchors its WCT goal at the
-  /// run's start time.
-  const CtxPtr& last_context() const { return last_ctx_; }
 
   /// Multi-tenant wiring: tag every task this engine launches with a
   /// coordinator tenant id. The shared pool attributes submissions to this
@@ -33,18 +28,12 @@ class Engine {
   /// grant (real scheduling isolation, not just accounting). Takes effect
   /// for subsequent run() calls. 0 = none (untagged fast path).
   void set_tenant(int tenant) { tenant_ = tenant; }
-  int tenant() const { return tenant_; }
-
-  ResizableThreadPool& pool() { return pool_; }
-  EventBus& bus() { return bus_; }
-  const Clock& clock() const { return *clock_; }
 
  private:
   ResizableThreadPool& pool_;
   EventBus& bus_;
   const Clock* clock_;
   int tenant_ = 0;
-  CtxPtr last_ctx_;
 };
 
 }  // namespace askel

@@ -29,7 +29,7 @@ std::string to_string(SkelKind k) {
   return "?";
 }
 
-std::string to_string(const Trace& trace) {
+std::string to_string(std::span<const SkelNode* const> trace) {
   std::string out;
   for (const SkelNode* n : trace) {
     if (!out.empty()) out += '/';
@@ -40,8 +40,7 @@ std::string to_string(const Trace& trace) {
 
 ExecContext::ExecContext(ResizableThreadPool& pool, EventBus& bus,
                          const Clock& clock, int tenant)
-    : pool_(pool), bus_(bus), clock_(clock), tenant_(tenant),
-      start_time_(clock.now()) {}
+    : pool_(pool), bus_(bus), clock_(clock), tenant_(tenant) {}
 
 std::int64_t ExecContext::new_exec_id() {
   static std::atomic<std::int64_t> counter{0};
@@ -77,7 +76,8 @@ SkelNode::SkelNode(SkelKind kind) : kind_(kind), id_(next_node_id()) {}
 
 Frame SkelNode::open_frame(const CtxPtr& ctx, const Frame& parent) const {
   Frame f;
-  f.trace = parent.trace;
+  f.trace.reserve(parent.trace.size() + 1);
+  f.trace.assign(parent.trace.begin(), parent.trace.end());
   f.trace.push_back(this);
   f.exec_id = ctx->new_exec_id();
   f.parent_exec_id = parent.exec_id;

@@ -39,6 +39,9 @@ std::string to_string(SkelKind k);
 /// Continuation receiving the result of a (sub-)skeleton execution.
 using Cont = std::function<void(Any)>;
 
+/// Dynamic call-stack of skeleton nodes from the root to the current one.
+using Trace = std::vector<const SkelNode*>;
+
 /// Dynamic frame of one skeleton-instance execution: its trace and ids.
 struct Frame {
   Trace trace;                       // root .. current node
@@ -50,7 +53,9 @@ class ExecContext;
 using CtxPtr = std::shared_ptr<ExecContext>;
 
 /// Per-run mutable state shared by all tasks of one `Engine::run`.
-class ExecContext {
+/// alignas(64): make_shared puts the control block (the handles' reference
+/// count) on the cache line before the fields every task reads.
+class alignas(64) ExecContext {
  public:
   ExecContext(ResizableThreadPool& pool, EventBus& bus, const Clock& clock,
               int tenant = 0);
@@ -60,7 +65,8 @@ class ExecContext {
   std::int64_t new_exec_id();
 
   /// Emit an event through the bus; returns the possibly rewritten partial
-  /// solution. Runs synchronously on the calling (worker) thread.
+  /// solution. Runs synchronously on the calling (worker) thread. The event
+  /// borrows `f`'s trace for the duration of the dispatch.
   Any emit(Any param, const Frame& f, When when, Where where, int muscle_id,
            int cardinality = -1, bool condition_result = false,
            int child_index = -1);
@@ -70,16 +76,8 @@ class ExecContext {
   void fail(std::exception_ptr e);
   bool failed() const { return failed_.load(std::memory_order_acquire); }
 
+  /// Submit under this run's coordinator tenant (0 = none).
   void spawn(Task t) { pool_.submit(std::move(t), tenant_); }
-
-  ResizableThreadPool& pool() { return pool_; }
-  EventBus& bus() { return bus_; }
-  /// Coordinator tenant id this run's tasks are accounted under (0 = none).
-  int tenant() const { return tenant_; }
-  const Clock& clock() const { return clock_; }
-  TimePoint now() const { return clock_.now(); }
-  /// Wall-clock time at which Engine::run was called (goal anchoring).
-  TimePoint start_time() const { return start_time_; }
 
   /// Completion hooks installed by the engine.
   std::function<void(Any)> complete;
@@ -90,7 +88,6 @@ class ExecContext {
   EventBus& bus_;
   const Clock& clock_;
   int tenant_;
-  TimePoint start_time_;
   std::atomic<bool> failed_{false};
   std::atomic<bool> error_delivered_{false};
 };
@@ -132,8 +129,8 @@ std::size_t tree_size(const SkelNode& root);
 /// All distinct muscles referenced anywhere in the tree.
 std::vector<const Muscle*> tree_muscles(const SkelNode& root);
 
-/// Guard a muscle invocation: runs `body()`, routes exceptions to ctx.fail.
-/// Returns true on success.
+/// Guard a muscle invocation or a whole task: runs `body()`, routes
+/// exceptions to ctx.fail. Returns true on success.
 template <class F>
 bool guarded(const CtxPtr& ctx, F&& body) {
   try {

@@ -109,43 +109,59 @@ class IfNode final : public SkelNode {
   NodePtr on_false_;
 };
 
-/// map(fs, ∆, fm) — split, apply ∆ to every element in parallel, merge.
-class MapNode final : public SkelNode {
+/// Common base of map, fork and d&C: split, run one nested instance per part,
+/// merge on the thread of the last element to arrive (skel/detail/join.hpp).
+class FanOutNode : public SkelNode {
  public:
-  MapNode(SplitPtr fs, NodePtr inner, MergePtr fm);
+  /// Opens the instance, emits its Before-Skeleton event and fans out; d&C
+  /// overrides it to evaluate its condition first.
   void exec(const CtxPtr& ctx, const Frame& parent, Any input, Cont cont) const override;
-  std::vector<const SkelNode*> children() const override { return {inner_.get()}; }
   std::vector<const Muscle*> muscles() const override {
     return {fs_.get(), fm_.get()};
   }
   const SplitMuscle& fs() const { return *fs_; }
   const MergeMuscle& fm() const { return *fm_; }
+  /// The skeleton that element `i` of an instance runs.
+  virtual const SkelNode& element(std::size_t i) const = 0;
+
+ protected:
+  FanOutNode(SkelKind kind, SplitPtr fs, MergePtr fm)
+      : SkelNode(kind), fs_(std::move(fs)), fm_(std::move(fm)) {}
+
+  SplitPtr fs_;
+  MergePtr fm_;
+};
+
+/// map(fs, ∆, fm) — split, apply ∆ to every element in parallel, merge.
+class MapNode final : public FanOutNode {
+ public:
+  MapNode(SplitPtr fs, NodePtr inner, MergePtr fm);
+  std::vector<const SkelNode*> children() const override { return {inner_.get()}; }
+  const SkelNode& element(std::size_t) const override { return *inner_; }
 
  private:
-  SplitPtr fs_;
   NodePtr inner_;
-  MergePtr fm_;
 };
 
 /// fork(fs, {∆}, fm) — like map but element j runs skeleton ∆_{j mod |{∆}|}.
-class ForkNode final : public SkelNode {
+class ForkNode final : public FanOutNode {
  public:
   ForkNode(SplitPtr fs, std::vector<NodePtr> branches, MergePtr fm);
-  void exec(const CtxPtr& ctx, const Frame& parent, Any input, Cont cont) const override;
   std::vector<const SkelNode*> children() const override;
-  std::vector<const Muscle*> muscles() const override {
-    return {fs_.get(), fm_.get()};
-  }
   std::size_t branch_count() const { return branches_.size(); }
+  /// Skandium's fork applies "multiple instructions to multiple data";
+  /// cycling keeps the node total when the split produces more elements
+  /// than there are skeletons.
+  const SkelNode& element(std::size_t i) const override {
+    return *branches_[i % branches_.size()];
+  }
 
  private:
-  SplitPtr fs_;
   std::vector<NodePtr> branches_;
-  MergePtr fm_;
 };
 
 /// d&C(fc, fs, ∆, fm) — divide while fc holds, run ∆ at the leaves, merge up.
-class DacNode final : public SkelNode {
+class DacNode final : public FanOutNode {
  public:
   DacNode(CondPtr fc, SplitPtr fs, NodePtr leaf, MergePtr fm);
   void exec(const CtxPtr& ctx, const Frame& parent, Any input, Cont cont) const override;
@@ -154,14 +170,13 @@ class DacNode final : public SkelNode {
     return {fc_.get(), fs_.get(), fm_.get()};
   }
   const ConditionMuscle& fc() const { return *fc_; }
-  const SplitMuscle& fs() const { return *fs_; }
-  const MergeMuscle& fm() const { return *fm_; }
+  /// Every element recurses on this same node: d&C(fc, fs, ∆, fm) applied
+  /// to the part.
+  const SkelNode& element(std::size_t) const override { return *this; }
 
  private:
-  SplitPtr fs_;
   CondPtr fc_;
   NodePtr leaf_;
-  MergePtr fm_;
 };
 
 }  // namespace askel

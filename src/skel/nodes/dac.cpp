@@ -4,17 +4,15 @@
 namespace askel {
 
 DacNode::DacNode(CondPtr fc, SplitPtr fs, NodePtr leaf, MergePtr fm)
-    : SkelNode(SkelKind::kDaC),
-      fs_(std::move(fs)),
+    : FanOutNode(SkelKind::kDaC, std::move(fs), std::move(fm)),
       fc_(std::move(fc)),
-      leaf_(std::move(leaf)),
-      fm_(std::move(fm)) {}
+      leaf_(std::move(leaf)) {}
 
 void DacNode::exec(const CtxPtr& ctx, const Frame& parent, Any input, Cont cont) const {
   if (ctx->failed()) return;
   // Every recursion level opens a fresh dynamic instance; the depth of that
   // dynamic chain is what the paper estimates as |fc| for d&C.
-  const Frame f = open_frame(ctx, parent);
+  Frame f = open_frame(ctx, parent);
   Any p = ctx->emit(std::move(input), f, When::kBefore, Where::kSkeleton, -1);
   p = ctx->emit(std::move(p), f, When::kBefore, Where::kCondition, fc_->id());
   bool divide = false;
@@ -32,50 +30,7 @@ void DacNode::exec(const CtxPtr& ctx, const Frame& parent, Any input, Cont cont)
     });
     return;
   }
-
-  p = ctx->emit(std::move(p), f, When::kBefore, Where::kSplit, fs_->id());
-  AnyVec parts;
-  if (!guarded(ctx, [&] { parts = fs_->invoke(std::move(p)); })) return;
-  const int card = static_cast<int>(parts.size());
-  Any pv = ctx->emit(Any(std::move(parts)), f, When::kAfter, Where::kSplit,
-                     fs_->id(), card);
-  if (!guarded(ctx, [&] { parts = std::any_cast<AnyVec>(std::move(pv)); })) return;
-
-  auto merge_step = [this, ctx, f, cont = std::move(cont)](AnyVec results) {
-    Any mv = ctx->emit(Any(std::move(results)), f, When::kBefore, Where::kMerge,
-                       fm_->id());
-    AnyVec rv;
-    if (!guarded(ctx, [&] { rv = std::any_cast<AnyVec>(std::move(mv)); })) return;
-    Any r;
-    if (!guarded(ctx, [&] { r = fm_->invoke(std::move(rv)); })) return;
-    r = ctx->emit(std::move(r), f, When::kAfter, Where::kMerge, fm_->id());
-    r = ctx->emit(std::move(r), f, When::kAfter, Where::kSkeleton, -1);
-    cont(std::move(r));
-  };
-
-  if (parts.empty()) {
-    merge_step(AnyVec{});
-    return;
-  }
-
-  auto join = std::make_shared<detail::JoinState>(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    ctx->spawn([this, ctx, f, join, i, part = std::move(parts[i]),
-                merge_step]() mutable {
-      if (ctx->failed()) return;
-      Any q = ctx->emit(std::move(part), f, When::kBefore, Where::kNested, -1, -1,
-                        false, static_cast<int>(i));
-      // Recurse on this same node: d&C(fc, fs, ∆, fm) applied to the part.
-      this->exec(ctx, f, std::move(q), [ctx, f, join, i, merge_step](Any r) {
-        if (ctx->failed()) return;
-        r = ctx->emit(std::move(r), f, When::kAfter, Where::kNested, -1, -1, false,
-                      static_cast<int>(i));
-        if (detail::arrive(join, i, std::move(r))) {
-          merge_step(std::move(join->results));
-        }
-      });
-    });
-  }
+  detail::fan_out(*this, ctx, std::move(f), std::move(p), std::move(cont));
 }
 
 }  // namespace askel

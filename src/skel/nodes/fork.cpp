@@ -1,15 +1,12 @@
 #include <stdexcept>
 
-#include "skel/detail/join.hpp"
 #include "skel/nodes.hpp"
 
 namespace askel {
 
 ForkNode::ForkNode(SplitPtr fs, std::vector<NodePtr> branches, MergePtr fm)
-    : SkelNode(SkelKind::kFork),
-      fs_(std::move(fs)),
-      branches_(std::move(branches)),
-      fm_(std::move(fm)) {
+    : FanOutNode(SkelKind::kFork, std::move(fs), std::move(fm)),
+      branches_(std::move(branches)) {
   if (branches_.empty())
     throw std::invalid_argument("fork(fs, {∆}, fm): needs at least one skeleton");
 }
@@ -19,58 +16,6 @@ std::vector<const SkelNode*> ForkNode::children() const {
   out.reserve(branches_.size());
   for (const NodePtr& b : branches_) out.push_back(b.get());
   return out;
-}
-
-void ForkNode::exec(const CtxPtr& ctx, const Frame& parent, Any input, Cont cont) const {
-  if (ctx->failed()) return;
-  const Frame f = open_frame(ctx, parent);
-  Any p = ctx->emit(std::move(input), f, When::kBefore, Where::kSkeleton, -1);
-  p = ctx->emit(std::move(p), f, When::kBefore, Where::kSplit, fs_->id());
-  AnyVec parts;
-  if (!guarded(ctx, [&] { parts = fs_->invoke(std::move(p)); })) return;
-  const int card = static_cast<int>(parts.size());
-  Any pv = ctx->emit(Any(std::move(parts)), f, When::kAfter, Where::kSplit,
-                     fs_->id(), card);
-  if (!guarded(ctx, [&] { parts = std::any_cast<AnyVec>(std::move(pv)); })) return;
-
-  auto merge_step = [this, ctx, f, cont = std::move(cont)](AnyVec results) {
-    Any mv = ctx->emit(Any(std::move(results)), f, When::kBefore, Where::kMerge,
-                       fm_->id());
-    AnyVec rv;
-    if (!guarded(ctx, [&] { rv = std::any_cast<AnyVec>(std::move(mv)); })) return;
-    Any r;
-    if (!guarded(ctx, [&] { r = fm_->invoke(std::move(rv)); })) return;
-    r = ctx->emit(std::move(r), f, When::kAfter, Where::kMerge, fm_->id());
-    r = ctx->emit(std::move(r), f, When::kAfter, Where::kSkeleton, -1);
-    cont(std::move(r));
-  };
-
-  if (parts.empty()) {
-    merge_step(AnyVec{});
-    return;
-  }
-
-  auto join = std::make_shared<detail::JoinState>(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    // Element j runs skeleton ∆_{j mod |{∆}|}: Skandium's fork applies
-    // "multiple instructions to multiple data"; cycling keeps the node total
-    // when the split produces more elements than there are skeletons.
-    const SkelNode* branch = branches_[i % branches_.size()].get();
-    ctx->spawn([branch, ctx, f, join, i, part = std::move(parts[i]),
-                merge_step]() mutable {
-      if (ctx->failed()) return;
-      Any q = ctx->emit(std::move(part), f, When::kBefore, Where::kNested, -1, -1,
-                        false, static_cast<int>(i));
-      branch->exec(ctx, f, std::move(q), [ctx, f, join, i, merge_step](Any r) {
-        if (ctx->failed()) return;
-        r = ctx->emit(std::move(r), f, When::kAfter, Where::kNested, -1, -1, false,
-                      static_cast<int>(i));
-        if (detail::arrive(join, i, std::move(r))) {
-          merge_step(std::move(join->results));
-        }
-      });
-    });
-  }
 }
 
 }  // namespace askel

@@ -2,6 +2,7 @@
 // Helpers for rendering dynamic skeleton traces (the `st` array of the
 // paper's Listing 2 logger).
 
+#include <span>
 #include <string>
 
 #include "events/event.hpp"
@@ -9,6 +10,6 @@
 namespace askel {
 
 /// "map/map/seq"-style rendering of a trace.
-std::string to_string(const Trace& trace);
+std::string to_string(std::span<const SkelNode* const> trace);
 
 }  // namespace askel

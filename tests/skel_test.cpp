@@ -283,7 +283,9 @@ TEST_F(SkelTest, ConditionMuscleExceptionPropagates) {
   EXPECT_THROW(While(fc, Seq(body)).input(1, engine_).get(), std::runtime_error);
 }
 
-TEST_F(SkelTest, OneFailingElementFailsTheMap) {
+TEST_F(SkelTest, OneFailingElementFailsEveryFanOut) {
+  // Elements 0..7; element 3 throws. The elements that never arrive must not
+  // leave the shared fan-out record (or anything it holds) behind.
   auto fs = split_muscle<int, int>("fs", [](int n) {
     std::vector<int> v(n);
     std::iota(v.begin(), v.end(), 0);
@@ -294,7 +296,35 @@ TEST_F(SkelTest, OneFailingElementFailsTheMap) {
     return x;
   });
   auto fm = merge_muscle<int, int>("fm", [](std::vector<int>) { return 0; });
+  auto divide_8 = condition_muscle<int>("fc", [](const int& x) { return x >= 8; });
   EXPECT_THROW(Map(fs, Seq(fe), fm).input(8, engine_).get(), std::runtime_error);
+  EXPECT_THROW(Fork(fs, {Seq(fe), Seq(fe)}, fm).input(8, engine_).get(),
+               std::runtime_error);
+  EXPECT_THROW(DaC(divide_8, fs, Seq(fe), fm).input(8, engine_).get(),
+               std::runtime_error);
+}
+
+TEST_F(SkelTest, ThrowingListenerFailsTheRun) {
+  // A listener runs on the muscle's thread inside the element's task; its
+  // exception must fail the run like a muscle's, not escape the worker.
+  bus_.add_listener(std::make_shared<FilteredListener>(
+      When::kAfter, Where::kExecute, [](std::any p, const Event&) -> std::any {
+        if (std::any_cast<int>(p) == 4) throw std::runtime_error("listener");
+        return p;
+      }));
+  auto fs = split_muscle<int, int>("fs", [](int n) {
+    std::vector<int> v(n);
+    std::iota(v.begin(), v.end(), 0);
+    return v;
+  });
+  auto fe = execute_muscle<int, int>("fe", [](int x) { return x; });
+  auto fm = merge_muscle<int, int>("fm", [](std::vector<int>) { return 0; });
+  try {
+    Map(fs, Seq(fe), fm).input(8, engine_).get();
+    ADD_FAILURE() << "the listener's exception was not delivered";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "listener");
+  }
 }
 
 TEST_F(SkelTest, TypeMismatchSurfacesAsBadAnyCast) {
