@@ -121,9 +121,11 @@ void BM_EstimatorObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimatorObserve);
 
-// Contended observes: state machines on different workers record different
-// muscles into ONE shared registry — the case the muscle-id-sharded locks
-// target (the seed serialized all of them on a single mutex).
+// Contended observes: 4 threads record different muscles into ONE registry,
+// all through its one mutex. No library path produces this traffic: the
+// trackers, the only writers during a run, already hold TrackerSet::mu_, and
+// each TrackerSet owns its registry. Kept to show what direct
+// multi-threaded use of a registry costs; docs/perf.md records it.
 void BM_EstimatorObserve_Contended(benchmark::State& state) {
   static EstimateRegistry* reg = nullptr;
   if (state.thread_index() == 0) reg = new EstimateRegistry(0.5);
@@ -141,8 +143,8 @@ void BM_EstimatorObserve_Contended(benchmark::State& state) {
 BENCHMARK(BM_EstimatorObserve_Contended)->Threads(4)->UseRealTime();
 
 // Controller decision loop cost: back-to-back snapshots with no intervening
-// writes. The versioned registry must answer from its cached snapshot (O(1));
-// the seed deep-copied the whole stats map every call.
+// writes. The registry must return its previous snapshot (O(1)); the seed
+// deep-copied the whole stats map every call.
 void BM_EstimateSnapshot_Clean(benchmark::State& state) {
   EstimateRegistry reg(0.5, EstimationScope::kPerDepth);
   for (int m = 0; m < static_cast<int>(state.range(0)); ++m) {
@@ -155,9 +157,9 @@ void BM_EstimateSnapshot_Clean(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateSnapshot_Clean)->Arg(16)->Arg(128)->Arg(1024);
 
-// Write-then-snapshot with ONE dirty muscle: under the sharded registry the
-// rebuild touches only that muscle's fragment and splices the other
-// kEstimateFragments-1 by shared_ptr bump — O(dirty), not O(muscles).
+// Write-then-snapshot with ONE dirty muscle: the rebuild touches only that
+// muscle's fragment and splices the other kEstimateFragments-1 by shared_ptr
+// bump — O(written fragments), not O(muscles).
 void BM_EstimateSnapshot_Dirty(benchmark::State& state) {
   EstimateRegistry reg(0.5);
   for (int m = 0; m < static_cast<int>(state.range(0)); ++m) {
@@ -170,15 +172,16 @@ void BM_EstimateSnapshot_Dirty(benchmark::State& state) {
 }
 BENCHMARK(BM_EstimateSnapshot_Dirty)->Arg(16)->Arg(128);
 
-// Every shard dirty between snapshots (one write per fragment): the honest
-// full-rebuild bound the incremental path degrades to when everything moved.
+// Every fragment dirty between snapshots (one write per fragment): the
+// honest full-rebuild bound the incremental path degrades to when everything
+// moved.
 void BM_EstimateSnapshot_DirtyAll(benchmark::State& state) {
   EstimateRegistry reg(0.5);
   const int muscles = static_cast<int>(state.range(0));
   for (int m = 0; m < muscles; ++m) reg.observe_duration(m, 1.0);
   for (auto _ : state) {
     // Muscle id m lands in fragment m % kEstimateFragments, so ids
-    // 0..kEstimateFragments-1 dirty every shard.
+    // 0..kEstimateFragments-1 dirty every fragment.
     for (int m = 0; m < static_cast<int>(kEstimateFragments); ++m) {
       reg.observe_duration(m, 1.0);
     }

@@ -4,7 +4,8 @@
 # distills the numbers every perf PR tracks into one JSON file:
 #   * EventBus dispatch ns/op (0/1/4/16 listeners, 4-thread contended),
 #   * pool churn tasks/sec at LP in {1, 4, 8},
-#   * EstimateRegistry snapshot cost, clean (cached) vs dirty (rebuild),
+#   * EstimateRegistry snapshot cost, clean (the previous snapshot again) vs
+#     dirty (rebuild of the written fragments) under the registry's one lock,
 #   * multi-tenant staggered: K=4 controllers on one budget, run under BOTH
 #     arbitration policies (deadline-pressure and weighted-share),
 #   * multi-tenant aggressor: victim vs flooding aggressor, weighted

@@ -74,53 +74,12 @@ class Expander {
                        std::move(preds), ed)};
         return expand(*n.true_branch(), std::move(c), depth + 1, ed + 1);
       }
-      case SkelKind::kMap: {
-        const auto& n = static_cast<const MapNode&>(node);
-        bool known = false;
-        const long card = rounded_cardinality(est_, n.fs().id(), 1, &known, ed);
-        if (!known) g_.complete_estimates = false;
-        const int split_id = add_muscle(n.fs(), std::move(preds), ed);
-        std::vector<int> merge_preds;
-        // Each branch typically contributes one terminal; reserving the
-        // known cardinality avoids O(log card) grow-and-copy cycles on
-        // large-ADG expansion. Capped by the activity limit: the loop stops
-        // there anyway, and an estimate gone wild must not allocate
-        // gigabytes up front.
-        merge_preds.reserve(reserve_hint(card));
-        for (long k = 0; k < card; ++k) {
-          if (g_.size() >= lim_.max_activities) {
-            g_.truncated = true;
-            break;
-          }
-          std::vector<int> t = expand(*n.children()[0], {split_id}, depth + 1, ed + 1);
-          merge_preds.insert(merge_preds.end(), t.begin(), t.end());
-        }
-        if (merge_preds.empty()) merge_preds = {split_id};
-        return {add_muscle(n.fm(), std::move(merge_preds), ed)};
-      }
+      case SkelKind::kMap:
       case SkelKind::kFork: {
-        const auto& n = static_cast<const ForkNode&>(node);
-        const auto* fs = static_cast<const SplitMuscle*>(n.muscles()[0]);
-        const auto* fm = static_cast<const MergeMuscle*>(n.muscles()[1]);
-        bool known = false;
-        const long card = rounded_cardinality(
-            est_, fs->id(), static_cast<long>(n.branch_count()), &known, ed);
-        if (!known) g_.complete_estimates = false;
-        const int split_id = add_muscle(*fs, std::move(preds), ed);
-        const auto kids = n.children();
-        std::vector<int> merge_preds;
-        merge_preds.reserve(reserve_hint(card));
-        for (long k = 0; k < card; ++k) {
-          if (g_.size() >= lim_.max_activities) {
-            g_.truncated = true;
-            break;
-          }
-          const SkelNode& branch = *kids[static_cast<std::size_t>(k) % kids.size()];
-          std::vector<int> t = expand(branch, {split_id}, depth + 1, ed + 1);
-          merge_preds.insert(merge_preds.end(), t.begin(), t.end());
-        }
-        if (merge_preds.empty()) merge_preds = {split_id};
-        return {add_muscle(*fm, std::move(merge_preds), ed)};
+        const auto& n = static_cast<const FanOutNode&>(node);
+        return fan_out(n, std::move(preds), ed, [&](std::size_t k, std::vector<int> p) {
+          return expand(n.element(k), std::move(p), depth + 1, ed + 1);
+        });
       }
       case SkelKind::kDaC: {
         const auto& n = static_cast<const DacNode&>(node);
@@ -150,7 +109,7 @@ class Expander {
   }
 
   /// What follows a d&C condition: the leaf skeleton when not dividing, else
-  /// split / `branching` recursive children / merge.
+  /// split / |fs| recursive children one level deeper / merge.
   std::vector<int> dac_body(const DacNode& n, std::vector<int> preds, long level,
                             long rec_depth, bool divided, int depth, int ed) {
     if (depth > lim_.max_depth || g_.size() >= lim_.max_activities) {
@@ -160,19 +119,35 @@ class Expander {
     if (!divided) {
       return expand(*n.children()[0], std::move(preds), depth + 1, ed + 1);
     }
+    return fan_out(n, std::move(preds), ed, [&](std::size_t, std::vector<int> p) {
+      return expand_dac(n, std::move(p), level + 1, rec_depth, depth + 1, ed + 1);
+    });
+  }
+
+  /// Split, `|fs|` expected elements (`element(k, preds)` expands element k),
+  /// merge: map, fork and a dividing d&C level. Without a |fs| estimate the
+  /// split is taken to yield one part per static child: 1 for map and d&C,
+  /// the branch count for fork.
+  template <class Element>
+  std::vector<int> fan_out(const FanOutNode& n, std::vector<int> preds, int ed,
+                           Element element) {
     bool known = false;
-    const long branching = rounded_cardinality(est_, n.fs().id(), 1, &known, ed);
+    const long card = rounded_cardinality(
+        est_, n.fs().id(), static_cast<long>(n.children().size()), &known, ed);
     if (!known) g_.complete_estimates = false;
     const int split_id = add_muscle(n.fs(), std::move(preds), ed);
     std::vector<int> merge_preds;
-    merge_preds.reserve(reserve_hint(branching));
-    for (long k = 0; k < branching; ++k) {
+    // Each element typically contributes one terminal; reserving the known
+    // cardinality avoids O(log card) grow-and-copy cycles on large-ADG
+    // expansion. Capped by the activity limit: the loop stops there anyway,
+    // and an estimate gone wild must not allocate gigabytes up front.
+    merge_preds.reserve(reserve_hint(card));
+    for (long k = 0; k < card; ++k) {
       if (g_.size() >= lim_.max_activities) {
         g_.truncated = true;
         break;
       }
-      std::vector<int> t =
-          expand_dac(n, {split_id}, level + 1, rec_depth, depth + 1, ed + 1);
+      std::vector<int> t = element(static_cast<std::size_t>(k), {split_id});
       merge_preds.insert(merge_preds.end(), t.begin(), t.end());
     }
     if (merge_preds.empty()) merge_preds = {split_id};

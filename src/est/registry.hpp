@@ -1,10 +1,10 @@
 #pragma once
-// Thread-safe registry of muscle estimates, keyed by muscle id.
+// Registry of muscle estimates, keyed by muscle id.
 //
-// Writers are the state machines (on After events, from worker threads);
-// readers are the ADG expansion and the autonomic controller. Readers take a
-// consistent `Estimates` snapshot so a whole scheduling computation sees one
-// coherent set of values.
+// Writers are the state machines (on After events); readers are the ADG
+// expansion and the autonomic controller. Readers take a consistent
+// `Estimates` snapshot so a whole scheduling computation sees one coherent
+// set of values.
 //
 // Two estimation scopes are supported:
 //  * kAggregate (the paper's Skandium v1.1b1): one t(m)/|m| per muscle
@@ -18,29 +18,23 @@
 // Observations always record BOTH layers, so the scope can be chosen at
 // lookup time and snapshots carry everything.
 //
-// Concurrency layout (hot paths scale with work done, not state size):
-//  * writes and point lookups lock only one of kEstimateFragments
-//    muscle-id-sharded mutexes (both layers of a muscle live in the same
-//    shard), so state machines on different workers updating different
-//    muscles never contend;
-//  * every write bumps its shard's version (under the shard lock) and a
-//    global atomic version counter;
-//  * `Estimates` is fragmented along the same muscle-id sharding. snapshot()
-//    keeps a per-shard fragment cache: a rebuild copies only the shards
-//    written since the previous snapshot and splices every clean shard in by
-//    shared_ptr bump — O(dirty shards), not O(muscles);
-//  * the clean path (no writes at all since the last snapshot) is lock-free:
-//    one atomic version load plus a cached shared_ptr bump.
+// Locking: one mutex guards the whole registry. In the library every write
+// and every snapshot already runs under TrackerSet::mu_ (the trackers are
+// the only writers during a run, and each TrackerSet owns its registry), so
+// this lock is uncontended there; it keeps direct use from several threads
+// safe. Snapshots stay incremental: the stats live in kEstimateFragments
+// muscle-id fragments, snapshot() rebuilds only the fragments written since
+// the previous call and splices the rest by shared_ptr bump, and a call with
+// no write since the previous one returns the previous snapshot.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "est/muscle_stats.hpp"
 
@@ -54,9 +48,8 @@ enum class EstimationScope : int {
 /// Depth value representing the aggregate (depth-less) layer.
 inline constexpr int kAnyDepth = -1;
 
-/// Shard fan-out shared by EstimateRegistry and Estimates. The two MUST use
-/// the same muscle-id -> shard mapping so a registry shard rebuilds exactly
-/// one snapshot fragment.
+/// Fragment count shared by EstimateRegistry and Estimates: a registry
+/// fragment rebuilds exactly one snapshot fragment.
 inline constexpr std::size_t kEstimateFragments = 16;
 
 /// Composite key: (muscle id, depth). Depth kAnyDepth = aggregate layer.
@@ -67,7 +60,7 @@ int estimate_key_depth(std::int64_t key);
 
 /// Immutable value snapshot of the registry.
 ///
-/// Internally fragmented along the registry's muscle-id sharding: each of
+/// Internally fragmented by muscle id, as the registry is: each of
 /// kEstimateFragments fragments is an independently shared map, and the
 /// fragment-pointer array itself sits behind one more shared_ptr. Copying an
 /// Estimates is therefore a SINGLE refcount bump (the controller's
@@ -89,8 +82,7 @@ class Estimates {
   using Map = std::unordered_map<std::int64_t, Entry>;
 
   static constexpr std::size_t kFragments = kEstimateFragments;
-  /// Fragment a muscle's entries live in (same mapping as the registry's
-  /// shard_for — keep the casts identical).
+  /// Fragment a muscle's entries live in, here and in the registry.
   static std::size_t fragment_of(int muscle_id) {
     return static_cast<std::size_t>(muscle_id) % kFragments;
   }
@@ -184,66 +176,44 @@ class EstimateRegistry {
   std::optional<double> t(int muscle_id, int depth) const;
   std::optional<double> cardinality(int muscle_id, int depth) const;
 
-  /// Consistent snapshot of everything. Lock-free when nothing was written
-  /// since the previous call (the controller's back-to-back decision case):
-  /// one version load + a cached shared_ptr bump. Otherwise rebuilds ONLY
-  /// the shards written since the last snapshot — locking only those shards
-  /// — and splices the rest in by shared_ptr bump: O(dirty shards), not
-  /// O(muscles). A global-version recheck (bounded retry, then a lock-all
-  /// fallback) keeps the result a coherent cut even though clean shards are
-  /// spliced without their locks.
+  /// Consistent snapshot of everything. Returns the previous snapshot when
+  /// nothing was written since it was taken (the controller's back-to-back
+  /// decision case: one shared_ptr bump). Otherwise rebuilds ONLY the
+  /// fragments written since then and splices the rest in by shared_ptr
+  /// bump: O(written fragments), not O(muscles).
   Estimates snapshot() const;
   /// Monotonic write counter; bumped by every observe/init/clear. Exposed
   /// for tests and monitoring ("did anything change since I last looked?").
-  std::uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  std::uint64_t version() const;
   double rho() const { return rho_; }
   EstimationScope scope() const { return scope_; }
   void clear();
 
  private:
-  // One shard per group of muscle ids; both layers (aggregate + per-depth)
-  // of a muscle live in its shard, so point lookups with depth fallback
-  // still take a single lock. Shard index == Estimates fragment index.
-  static constexpr std::size_t kShards = kEstimateFragments;
-  struct Shard {
-    mutable std::mutex mu;
+  // Both layers (aggregate + per-depth) of a muscle live in one fragment,
+  // the one its Estimates entries live in.
+  struct Fragment {
     std::unordered_map<std::int64_t, MuscleStats> stats;
-    // Bumped (store-release) under mu by every write to this shard. Atomic
-    // so the snapshot's per-shard clean check can read it WITHOUT taking mu
-    // — a rebuild locks only the shards whose version moved; reading a stale
-    // value is caught by the rebuild's global-version recheck.
-    std::atomic<std::uint64_t> version{0};
-    // Fragment cache: the Estimates fragment built from `stats` at
-    // `frag_version`. Guarded by snap_mu_, NOT by mu — only snapshot()
-    // (which serializes on snap_mu_) ever touches it; writers never look.
-    std::shared_ptr<const Estimates::Map> frag;
-    std::uint64_t frag_version = 0;
+    // The snapshot fragment last built from `stats`, stale once `dirty`.
+    std::shared_ptr<const Estimates::Map> built;
+    bool dirty = true;
   };
-  Shard& shard_for(int muscle_id) const;
-  /// Lock every shard (fixed index order; excludes all writers at once).
-  std::vector<std::unique_lock<std::mutex>> lock_all_shards() const;
-  MuscleStats& stats_locked(Shard& s, std::int64_t key);
-  static std::optional<double> t_locked(const Shard& s, std::int64_t key);
-  static std::optional<double> card_locked(const Shard& s, std::int64_t key);
-  void bump_version();
+  /// The stats of `(muscle_id, depth)`, created on first use; marks the
+  /// write. Caller holds mu_.
+  MuscleStats& write(int muscle_id, int depth);
+  /// The stats of `(muscle_id, depth)`, or null. Caller holds mu_.
+  const MuscleStats* find(int muscle_id, int depth) const;
 
   double rho_;
   EstimationScope scope_;
-  mutable std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> version_{0};
-
-  // Whole-snapshot cache for the lock-free clean path: the last snapshot
-  // built, tagged with the global version it was built at. Readers load it
-  // with one atomic shared_ptr load; rebuilds publish a fresh node.
-  struct CleanSnap {
-    std::uint64_t version;
-    Estimates snap;
-  };
-  mutable std::atomic<std::shared_ptr<const CleanSnap>> clean_cache_{};
-  // Serializes rebuilds only (never taken by writers or the clean path).
-  mutable std::mutex snap_mu_;
+  mutable std::mutex mu_;
+  // mutable: snapshot() refreshes the built fragments and its cache.
+  mutable std::array<Fragment, kEstimateFragments> frags_;
+  std::uint64_t version_ = 0;
+  // The last snapshot and the version it was taken at (none yet: the
+  // sentinel matches no version).
+  mutable Estimates snap_;
+  mutable std::uint64_t snap_version_ = std::numeric_limits<std::uint64_t>::max();
 };
 
 }  // namespace askel

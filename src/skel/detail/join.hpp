@@ -1,5 +1,6 @@
 #pragma once
-// Shared fan-out/fan-in machinery for map, fork and d&c.
+// Shared fan-out/fan-in machinery for map, fork and d&c, and the handoff
+// that lets for and while iterate without nesting a stack frame per turn.
 //
 // One record per fan-out instance holds what its elements share: the
 // context, the frame, the continuation, the split parts and the JoinState.
@@ -43,6 +44,18 @@ struct JoinState {
       throw std::length_error("JoinState: fan-out exceeds INT_MAX children");
     return static_cast<int>(n);
   }
+};
+
+/// One loop iteration's two parties: the loop, once the body's exec has
+/// returned, and the body's continuation, once it has the result. Each
+/// arrives once; the second to arrive runs the rest of the loop. A body that
+/// completes inside its exec thus hands its result back to the loop instead
+/// of recursing into the next iteration.
+struct Handoff {
+  std::atomic<bool> first_arrived{false};
+  Any result;  // written by the continuation before it arrives
+  /// True for the second caller.
+  bool arrive() { return first_arrived.exchange(true, std::memory_order_acq_rel); }
 };
 
 /// The instance of `node` whose frame is `f`, from its Before-Split event to

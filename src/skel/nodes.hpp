@@ -71,7 +71,7 @@ class WhileNode final : public SkelNode {
   const ConditionMuscle& fc() const { return *fc_; }
 
  private:
-  void iterate(const CtxPtr& ctx, Frame f, Any value, Cont cont) const;
+  void iterate(const CtxPtr& ctx, const Frame& f, Any value, const Cont& cont) const;
   CondPtr fc_;
   NodePtr body_;
 };
@@ -86,7 +86,8 @@ class ForNode final : public SkelNode {
   int iterations() const { return n_; }
 
  private:
-  void iterate(const CtxPtr& ctx, Frame f, int remaining, Any value, Cont cont) const;
+  void iterate(const CtxPtr& ctx, const Frame& f, int remaining, Any value,
+               const Cont& cont) const;
   int n_;
   NodePtr body_;
 };

@@ -2,16 +2,28 @@
 
 namespace askel {
 
-// ------------------------------------------------------------------- farm --
+// ------------------------------------------------------ pipe / farm / for --
 
-void FarmTracker::on_event(const Event& ev, EstimateRegistry&) {
+void ChainTracker::on_event(const Event& ev, EstimateRegistry&) {
   if (ev.where == Where::kSkeleton && ev.when == When::kAfter) mark_finished();
 }
 
-std::vector<int> FarmTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  if (!children_.empty()) return children_[0]->contribute(c, std::move(preds));
-  return expand_expected(*node_->children()[0], c.est, c.g, preds, c.limits,
-                         depth_ + 1);
+std::vector<int> ChainTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
+  // Child k runs stage k of a pipe, a farm's one child, or a for's body.
+  const auto kids = node_->children();
+  const std::size_t n = node_->kind() == SkelKind::kFor
+                            ? static_cast<std::size_t>(
+                                  static_cast<const ForNode&>(*node_).iterations())
+                            : kids.size();
+  std::vector<int> cur = std::move(preds);
+  std::size_t k = 0;
+  // Children run strictly in order, so the attached ones are 0..k-1.
+  for (; k < children_.size(); ++k) cur = children_[k]->contribute(c, std::move(cur));
+  for (; k < n; ++k) {
+    cur = expand_expected(*kids[k % kids.size()], c.est, c.g, cur, c.limits,
+                          depth_ + 1);
+  }
+  return cur;
 }
 
 // --------------------------------------------------------------------- if --
@@ -22,12 +34,7 @@ std::vector<int> FarmTracker::contribute(SnapshotCtx& c, std::vector<int> preds)
 
 void IfTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   if (ev.where == Where::kCondition) {
-    if (ev.when == When::kBefore) {
-      cond_ = open_rec(ev, node_->muscles()[0]->name().c_str());
-    } else if (cond_ && !cond_->done()) {
-      close_rec(*cond_, ev);
-      observe_duration_of(reg, *cond_);
-    }
+    track(cond_, ev, *node_->muscles()[0], reg);
   } else if (ev.where == Where::kSkeleton && ev.when == When::kAfter) {
     mark_finished();
   }

@@ -5,15 +5,8 @@ namespace askel {
 // Figure 3: seq(fe)@b(i) stores the start timestamp; seq(fe)@a(i) updates
 // t(fe) = ρ(now − eti) + (1−ρ)t(fe) and moves to F.
 void SeqTracker::on_event(const Event& ev, EstimateRegistry& reg) {
-  if (ev.where != Where::kExecute) return;
-  if (ev.when == When::kBefore) {
-    const auto& seq = static_cast<const SeqNode&>(*node_);
-    fe_ = open_rec(ev, seq.fe().name().c_str());
-  } else if (fe_ && !fe_->done()) {
-    close_rec(*fe_, ev);
-    observe_duration_of(reg, *fe_);
-    mark_finished();
-  }
+  const auto& seq = static_cast<const SeqNode&>(*node_);
+  if (ev.where == Where::kExecute && track(fe_, ev, seq.fe(), reg)) mark_finished();
 }
 
 std::vector<int> SeqTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {

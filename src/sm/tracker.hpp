@@ -9,6 +9,8 @@
 //
 // One tracker exists per dynamic instance (per exec_id); TrackerSet routes
 // events, maintains the parent/child tree, and assembles whole-run snapshots.
+// docs/architecture.md, "Trackers and the expected ADG", describes the
+// machines and what each expects of the part of its instance not yet seen.
 
 #include <memory>
 #include <optional>
@@ -55,17 +57,20 @@ class Tracker {
   bool finished() const { return finished_; }
   const std::vector<TrackerPtr>& children() const { return children_; }
 
-  /// Dynamic nesting depth (0 = root instance); set by TrackerSet at attach.
-  /// Feeds per-depth estimation (EstimationScope::kPerDepth).
+  /// Dynamic nesting depth (0 = root instance); set when attached to its
+  /// parent. Feeds per-depth estimation (EstimationScope::kPerDepth).
   int depth() const { return depth_; }
-  void set_depth(int d) { depth_ = d; }
 
   /// Handle an event with ev.exec_id == exec_id(). Updates internal state
   /// and folds actuals into `reg`.
   virtual void on_event(const Event& ev, EstimateRegistry& reg) = 0;
 
-  /// A nested instance sent its first event; attach it in arrival order.
-  virtual void attach_child(TrackerPtr child) { children_.push_back(std::move(child)); }
+  /// A nested instance sent its first event; attach it in arrival order,
+  /// one nesting level deeper.
+  virtual void attach_child(TrackerPtr child) {
+    child->depth_ = depth_ + 1;
+    children_.push_back(std::move(child));
+  }
 
   /// Emit this instance's activities. `preds` are the snapshot ids the
   /// instance waits on; returns the terminal activity ids its result
@@ -83,8 +88,12 @@ class Tracker {
   void observe_duration_of(EstimateRegistry& reg, const MuscleRec& rec) const;
 
   /// Record helpers shared by concrete trackers.
-  static MuscleRec open_rec(const Event& ev, const char* fallback_label);
+  static MuscleRec open_rec(const Event& ev, const Muscle& m);
   static void close_rec(MuscleRec& rec, const Event& ev);
+  /// A Before event of muscle `m` opens `rec`; the matching After closes it
+  /// and folds its duration into `reg`. True when this event closed `rec`.
+  bool track(std::optional<MuscleRec>& rec, const Event& ev, const Muscle& m,
+             EstimateRegistry& reg);
 
   const SkelNode* node_;
   std::int64_t exec_id_;

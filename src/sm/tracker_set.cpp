@@ -29,10 +29,10 @@ void Tracker::observe_duration_of(EstimateRegistry& reg, const MuscleRec& rec) c
   reg.observe_duration(rec.muscle_id, depth_, *rec.end - rec.start);
 }
 
-MuscleRec Tracker::open_rec(const Event& ev, const char* fallback_label) {
+MuscleRec Tracker::open_rec(const Event& ev, const Muscle& m) {
   MuscleRec r;
   r.muscle_id = ev.muscle_id;
-  r.label = fallback_label ? fallback_label : "m";
+  r.label = m.name();
   r.start = ev.timestamp;
   return r;
 }
@@ -43,24 +43,33 @@ void Tracker::close_rec(MuscleRec& rec, const Event& ev) {
   rec.cardinality = ev.cardinality;
 }
 
+bool Tracker::track(std::optional<MuscleRec>& rec, const Event& ev, const Muscle& m,
+                    EstimateRegistry& reg) {
+  if (ev.when == When::kBefore) {
+    rec = open_rec(ev, m);
+    return false;
+  }
+  if (!rec || rec->done()) return false;
+  close_rec(*rec, ev);
+  observe_duration_of(reg, *rec);
+  return true;
+}
+
 TrackerPtr make_tracker(const SkelNode* node, const Event& ev) {
   switch (node->kind()) {
     case SkelKind::kSeq:
       return std::make_shared<SeqTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kFarm:
-      return std::make_shared<FarmTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kPipe:
-      return std::make_shared<PipeTracker>(node, ev.exec_id, ev.parent_exec_id);
+    case SkelKind::kFor:
+      return std::make_shared<ChainTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kWhile:
       return std::make_shared<WhileTracker>(node, ev.exec_id, ev.parent_exec_id);
-    case SkelKind::kFor:
-      return std::make_shared<ForTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kIf:
       return std::make_shared<IfTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kMap:
-      return std::make_shared<MapTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kFork:
-      return std::make_shared<ForkTracker>(node, ev.exec_id, ev.parent_exec_id);
+      return std::make_shared<FanOutTracker>(node, ev.exec_id, ev.parent_exec_id);
     case SkelKind::kDaC:
       return std::make_shared<DacTracker>(node, ev.exec_id, ev.parent_exec_id);
   }
@@ -85,26 +94,11 @@ void TrackerSet::on_event(const Event& ev) {
     const auto pit = by_exec_.find(ev.parent_exec_id);
     if (pit != by_exec_.end()) {
       pit->second->attach_child(t);
-      t->set_depth(pit->second->depth() + 1);
-      // Recursion-level bookkeeping for d&C: a DaC child of a DaC instance of
-      // the same static node sits one level deeper.
-      auto* child_dac = dynamic_cast<DacTracker*>(t.get());
-      auto* parent_dac = dynamic_cast<DacTracker*>(pit->second.get());
-      if (child_dac && parent_dac && parent_dac->node() == child_dac->node()) {
-        child_dac->set_level(parent_dac->level() + 1);
-      }
     } else {
       roots_.push_back(t);
     }
   }
   t->on_event(ev, reg_);
-  // The root d&C instance observes |fc| = divide depth when it completes.
-  if (t->finished()) {
-    if (auto* dac = dynamic_cast<DacTracker*>(t.get()); dac && dac->level() == 0) {
-      reg_.observe_cardinality(dac->dac().fc().id(),
-                               static_cast<double>(dac->divide_depth()));
-    }
-  }
 }
 
 EventBus::ListenerPtr TrackerSet::as_listener() {

@@ -46,6 +46,8 @@ class TrackerSet {
   ExpandLimits limits;
 
  private:
+  // Serializes every tracker event and snapshot, and with them every write
+  // the trackers make to reg_ and every reg_ snapshot they take.
   mutable std::mutex mu_;
   EstimateRegistry& reg_;
   EventBus::ListenerPtr listener_;  // lazily-built shared bus adapter

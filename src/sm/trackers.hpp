@@ -1,11 +1,11 @@
 #pragma once
-// Concrete per-skeleton state machines.
+// Concrete per-skeleton state machines, one per shape: seq, fan-out (map and
+// fork), d&C, pipe/farm/for, if and while.
 //
-// SeqTracker implements Figure 3, MapTracker Figure 4; the others follow the
-// same pattern for the remaining skeletons. Fork and If are tracked too —
-// the paper's v1.1b1 leaves them unsupported ("under construction"); we track
-// Fork like Map (branch-cycled children) and If by expanding the true branch
-// until the condition result is known (documented deviation in DESIGN.md).
+// SeqTracker implements Figure 3 and FanOutTracker Figure 4; the others
+// follow the same pattern. Fork and If are tracked too, although the paper's
+// v1.1b1 leaves them unsupported ("under construction"): see
+// docs/architecture.md, "Trackers and the expected ADG".
 
 #include "sm/tracker.hpp"
 
@@ -22,63 +22,62 @@ class SeqTracker final : public Tracker {
   std::optional<MuscleRec> fe_;
 };
 
-/// Shared machine for map and fork (Figure 4): I --@bs--> splitting --@as-->
-/// S (children) --@bm--> M --@am--> F.
-class MapLikeTracker : public Tracker {
+/// map and fork (Figure 4): I --@bs--> splitting --@as--> S (children)
+/// --@bm--> M --@am--> F. Element i runs FanOutNode::element(i), as in the
+/// engine, so fork's elements cycle over its branches.
+class FanOutTracker : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
   std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
 
  protected:
-  /// Static node executed by the k-th not-yet-started child.
-  virtual const SkelNode* pending_child_node(std::size_t ordinal) const = 0;
-  const SplitMuscle* split_muscle() const;
-  const MergeMuscle* merge_muscle() const;
+  const FanOutNode& fan() const { return static_cast<const FanOutNode&>(*node_); }
+  /// The split record after `preds`, then the started elements and the
+  /// expected rest, then the merge. Requires split_.
+  std::vector<int> contribute_split(SnapshotCtx& c, std::vector<int> preds) const;
+  /// Expected expansion of element `i`, not started yet, after the split.
+  virtual std::vector<int> expect_element(SnapshotCtx& c, std::size_t i,
+                                          int split_id) const;
 
   std::optional<MuscleRec> split_;
   std::optional<MuscleRec> merge_;
 };
 
-class MapTracker final : public MapLikeTracker {
+/// d&C(fc,fs,∆,fm): a fan-out behind its condition, one tracker per
+/// recursion level; every element recurses on the same node one level
+/// deeper. The root (level 0) observes |fc| = its divide depth, in the
+/// aggregate layer, when it finishes.
+class DacTracker final : public FanOutTracker {
  public:
-  using MapLikeTracker::MapLikeTracker;
+  using FanOutTracker::FanOutTracker;
+  void on_event(const Event& ev, EstimateRegistry& reg) override;
+  void attach_child(TrackerPtr child) override;
+  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
 
- protected:
-  const SkelNode* pending_child_node(std::size_t) const override {
-    return node_->children()[0];
-  }
+ private:
+  std::vector<int> expect_element(SnapshotCtx& c, std::size_t i,
+                                  int split_id) const override;
+  const DacNode& dac() const { return static_cast<const DacNode&>(*node_); }
+  bool divided() const { return cond_ && cond_->done() && cond_->cond_result; }
+  /// 0 when this instance did not divide; else 1 + max over its elements.
+  long divide_depth() const;
+
+  std::optional<MuscleRec> cond_;
+  long level_ = 0;
 };
 
-class ForkTracker final : public MapLikeTracker {
- public:
-  using MapLikeTracker::MapLikeTracker;
-
- protected:
-  const SkelNode* pending_child_node(std::size_t ordinal) const override {
-    const auto kids = node_->children();
-    // Started children occupy the lowest indices; cycle like the engine does.
-    return kids[(children_.size() + ordinal) % kids.size()];
-  }
-};
-
-/// pipe(∆1,∆2): stages run strictly in order.
-class PipeTracker final : public Tracker {
+/// pipe(∆1,∆2), farm(∆) and for(n,∆): nested instances that run strictly one
+/// after another (two stages, one child, n bodies).
+class ChainTracker final : public Tracker {
  public:
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
   std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
 };
 
-/// farm(∆): transparent wrapper around one child instance.
-class FarmTracker final : public Tracker {
- public:
-  using Tracker::Tracker;
-  void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
-};
-
-/// if(fc,∆t,∆f): condition then the chosen branch.
+/// if(fc,∆t,∆f): condition then the chosen branch; the true branch is
+/// expected until the condition returns.
 class IfTracker final : public Tracker {
  public:
   using Tracker::Tracker;
@@ -95,41 +94,10 @@ class WhileTracker final : public Tracker {
   using Tracker::Tracker;
   void on_event(const Event& ev, EstimateRegistry& reg) override;
   std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
-  long true_count() const { return true_count_; }
 
  private:
   std::vector<MuscleRec> conds_;
   long true_count_ = 0;
-};
-
-/// for(n,∆): n body instances in sequence.
-class ForTracker final : public Tracker {
- public:
-  using Tracker::Tracker;
-  void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
-};
-
-/// d&C(fc,fs,∆,fm): one tracker per recursion level; the root (level 0)
-/// observes |fc| = max divide depth when it finishes.
-class DacTracker final : public Tracker {
- public:
-  using Tracker::Tracker;
-  void on_event(const Event& ev, EstimateRegistry& reg) override;
-  std::vector<int> contribute(SnapshotCtx& c, std::vector<int> preds) const override;
-
-  void set_level(long level) { level_ = level; }
-  long level() const { return level_; }
-  /// 0 when this instance did not divide; else 1 + max over children.
-  long divide_depth() const;
-  bool divided() const { return cond_ && cond_->done() && cond_->cond_result; }
-  const DacNode& dac() const { return static_cast<const DacNode&>(*node_); }
-
- private:
-  std::optional<MuscleRec> cond_;
-  std::optional<MuscleRec> split_;
-  std::optional<MuscleRec> merge_;
-  long level_ = 0;
 };
 
 }  // namespace askel

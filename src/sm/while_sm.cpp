@@ -4,8 +4,6 @@
 
 namespace askel {
 
-// ------------------------------------------------------------------ while --
-//
 // |fc| for While = estimated number of times the condition returns true over
 // one execution (paper §4). The tracker counts observed `true` results and
 // folds the count into the registry when the final `false` arrives.
@@ -14,7 +12,7 @@ void WhileTracker::on_event(const Event& ev, EstimateRegistry& reg) {
   switch (ev.where) {
     case Where::kCondition:
       if (ev.when == When::kBefore) {
-        conds_.push_back(open_rec(ev, node_->muscles()[0]->name().c_str()));
+        conds_.push_back(open_rec(ev, *node_->muscles()[0]));
       } else if (!conds_.empty() && !conds_.back().done()) {
         MuscleRec& rec = conds_.back();
         close_rec(rec, ev);
@@ -89,24 +87,6 @@ std::vector<int> WhileTracker::contribute(SnapshotCtx& c, std::vector<int> preds
     cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
   }
   cur = {add_pending_muscle(c.g, c.est, fc, std::move(cur), depth_)};
-  return cur;
-}
-
-// -------------------------------------------------------------------- for --
-
-void ForTracker::on_event(const Event& ev, EstimateRegistry&) {
-  if (ev.where == Where::kSkeleton && ev.when == When::kAfter) mark_finished();
-}
-
-std::vector<int> ForTracker::contribute(SnapshotCtx& c, std::vector<int> preds) const {
-  const auto& n = static_cast<const ForNode&>(*node_);
-  const SkelNode& body = *node_->children()[0];
-  std::vector<int> cur = std::move(preds);
-  for (const TrackerPtr& child : children_) cur = child->contribute(c, std::move(cur));
-  const long remaining =
-      std::max<long>(0, n.iterations() - static_cast<long>(children_.size()));
-  for (long k = 0; k < remaining; ++k)
-    cur = expand_expected(body, c.est, c.g, cur, c.limits, depth_ + 1);
   return cur;
 }
 

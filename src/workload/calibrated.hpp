@@ -1,13 +1,14 @@
 #pragma once
 // Calibrated muscle timings reproducing the paper's §5 execution profile.
 //
-// Paper testbed facts (reverse-engineered in DESIGN.md §3): sequential WCT
-// 12.5 s; outer split 6.4 s (single-threaded I/O); inner splits ≈ 7× faster;
-// execute muscles ≈ 0.04 s; first merge observed at 7.6 s. We reproduce that
-// profile at a configurable scale with sleep-calibrated muscles: sleeping
-// workers park, so N concurrent muscles overlap on wall-clock time even on a
-// single-core host — the duration/topology structure the autonomic layer
-// reasons about is preserved exactly.
+// Paper testbed facts, read off the paper's §5 (its wordcount runs and
+// Figures 5–7): sequential WCT 12.5 s; outer split 6.4 s (single-threaded
+// I/O); inner splits ≈ 7× faster; execute muscles ≈ 0.04 s; first merge
+// observed at 7.6 s. We reproduce that profile at a configurable scale with
+// sleep-calibrated muscles: sleeping workers park, so N concurrent muscles
+// overlap on wall-clock time even on a single-core host — the
+// duration/topology structure the autonomic layer reasons about is preserved
+// exactly.
 
 #include "util/clock.hpp"
 

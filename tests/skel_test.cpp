@@ -7,6 +7,7 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "skel/detail/join.hpp"
 #include "skel/trace.hpp"
@@ -573,6 +574,60 @@ TEST_F(SkelTest, LowLpStillCompletesDeepNesting) {
   // outer merge sums the four partial results.
   EXPECT_EQ(outer.input(4, engine).get(), 4);
 }
+
+// ----------------------------------------------------------- long loops --
+//
+// A body that completes inside its own exec (a seq runs inline) must not
+// cost the loop a stack frame per iteration: a million iterations run on
+// one worker's stack, at LP 1 and LP 4, with and without a listener.
+
+class LongLoopTest : public ::testing::TestWithParam<std::tuple<int, bool>> {
+ protected:
+#ifdef ASKEL_TSAN
+  // ThreadSanitizer runs these loops about 20x slower. 100,000 iterations
+  // still overflow an 8 MB stack when every iteration nests a frame.
+  static constexpr int kIterations = 100'000;
+#else
+  static constexpr int kIterations = 1'000'000;
+#endif
+
+  LongLoopTest() : pool_(std::get<0>(GetParam()), 4), engine_(pool_, bus_) {
+    if (std::get<1>(GetParam())) {
+      bus_.add_listener(std::make_shared<ObserverListener>(
+          [this](const Event&) { events_.fetch_add(1, std::memory_order_relaxed); }));
+    }
+  }
+  /// Events seen, or `expected` when no listener is registered.
+  long events_or(long expected) const {
+    return std::get<1>(GetParam()) ? events_.load() : expected;
+  }
+
+  std::atomic<long> events_{0};  // outlives the pool, which runs the listener
+  ResizableThreadPool pool_;
+  EventBus bus_;
+  Engine engine_;
+};
+
+TEST_P(LongLoopTest, ForOfSeqRunsAMillionIterations) {
+  auto inc = execute_muscle<int, int>("inc", [](int x) { return x + 1; });
+  EXPECT_EQ(For(kIterations, Seq(inc)).input(0, engine_).get(), kIterations);
+  // Per iteration: nested before/after and the seq's execute before/after.
+  EXPECT_EQ(events_or(4L * kIterations + 2), 4L * kIterations + 2);
+}
+
+TEST_P(LongLoopTest, WhileOfSeqRunsAMillionIterations) {
+  auto below =
+      condition_muscle<int>("below", [](const int& x) { return x < kIterations; });
+  auto inc = execute_muscle<int, int>("inc", [](int x) { return x + 1; });
+  EXPECT_EQ(While(below, Seq(inc)).input(0, engine_).get(), kIterations);
+  // Per iteration: the condition's two events and the body's four; then the
+  // last condition and the skeleton's own pair.
+  EXPECT_EQ(events_or(6L * kIterations + 4), 6L * kIterations + 4);
+}
+
+INSTANTIATE_TEST_SUITE_P(LpAndListener, LongLoopTest,
+                         ::testing::Combine(::testing::Values(1, 4),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace askel

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <string>
+#include <type_traits>
 
 #include "adg/best_effort.hpp"
 #include "adg/limited_lp.hpp"
 #include "adg/timeline.hpp"
 #include "autonomic/controller.hpp"
 #include "autonomic/decision.hpp"
+#include "events/listener.hpp"
 #include "workload/paper_example.hpp"
 #include "workload/wordcount.hpp"
 
@@ -289,6 +293,139 @@ TEST(TrackerSet, SnapshotNeverHoldsAnActivityEndingAfterItsNow) {
   const AdgSnapshot g = ts.snapshot(now);
   ASSERT_EQ(g.size(), 1u);
   EXPECT_TRUE(g.validate().empty()) << g.validate();
+}
+
+// ---------------------------------------------------------------------------
+// The monitor's output, pinned: nested skeletons covering all nine kinds run
+// on one worker against a clock only their muscles advance, and every
+// snapshot taken after every event is folded into one FNV-1a hash. Exec ids
+// and muscle ids are process-wide counters, so they stay out of the hash.
+// ---------------------------------------------------------------------------
+
+class Fnv1a {
+ public:
+  template <class T>
+  void add(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    bytes(&v, sizeof v);
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    bytes(s.data(), s.size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+void hash_snapshot(Fnv1a& h, const AdgSnapshot& g) {
+  h.add(g.now);
+  h.add(g.complete_estimates);
+  h.add(g.truncated);
+  h.add(g.size());
+  for (const Activity& a : g.activities) {
+    h.add(a.label);
+    h.add(a.state);
+    h.add(a.start);
+    h.add(a.end);
+    h.add(a.est_duration);
+    h.add(a.has_estimate);
+    h.add(a.preds.size());
+    for (const int p : a.preds) h.add(p);
+  }
+}
+
+TEST(TrackerSet, SnapshotStreamOfNestedSkeletonsIsPinned) {
+  ManualClock clock(0.0);
+  auto fe = execute_muscle<int, int>("fe", [&](int x) {
+    clock.advance(1.0 + 0.5 * (x % 3));
+    return x + 1;
+  });
+  auto inc = execute_muscle<int, int>("inc", [&](int x) {
+    clock.advance(0.25);
+    return x + 1;
+  });
+  auto dbl = execute_muscle<int, int>("dbl", [&](int x) {
+    clock.advance(0.75);
+    return 2 * x;
+  });
+  // Two or three parts summing to x.
+  auto fs = split_muscle<int, int>("fs", [&](int x) {
+    clock.advance(0.5);
+    const int n = 2 + x % 2;
+    std::vector<int> parts;
+    for (int i = 0; i < n; ++i) parts.push_back((x + i) / n);
+    return parts;
+  });
+  auto fm = merge_muscle<int, int>("fm", [&](std::vector<int> v) {
+    clock.advance(0.25 * static_cast<double>(v.size()));
+    int sum = 0;
+    for (const int x : v) sum += x;
+    return sum;
+  });
+  auto halve = split_muscle<int, int>("halve", [&](int x) {
+    clock.advance(0.5);
+    return std::vector<int>{x / 2, x - x / 2};
+  });
+  auto cond = [&](const char* name, auto pred) {
+    return condition_muscle<int>(name, [&clock, pred](const int& x) {
+      clock.advance(0.125);
+      return pred(x);
+    });
+  };
+  auto big = cond("big", [](int x) { return x > 3; });
+  auto gt1 = cond("gt1", [](int x) { return x > 1; });
+  auto even = cond("even", [](int x) { return x % 2 == 0; });
+  auto lt12 = cond("lt12", [](int x) { return x < 12; });
+  // A loop count that is not a function of the value: T F T F T T F F T ...
+  int turn = 0;
+  auto turns = cond("turns", [&turn](int) {
+    const int k = turn++;
+    return k % 4 != 3 && k % 5 != 1;
+  });
+
+  const std::vector<std::pair<const char*, Skel<int, int>>> skeletons = {
+      {"map of map", Map(fs, Map(fs, Seq(fe), fm), fm)},
+      {"fork with a pipe branch", Fork(fs, {Seq(fe), Pipe(Seq(inc), Seq(dbl))}, fm)},
+      {"d&C with a fork leaf", DaC(big, halve, Fork(fs, {Seq(fe), Seq(inc)}, fm), fm)},
+      {"d&C of d&C", DaC(big, halve, DaC(gt1, halve, Seq(fe), fm), fm)},
+      {"map of d&C", Map(fs, DaC(big, halve, Seq(fe), fm), fm)},
+      {"for of while", For(3, While(turns, Seq(inc)))},
+      {"while of map", While(lt12, Map(fs, Seq(inc), fm))},
+      {"pipe of farm and if", Pipe(Farm(Seq(fe)), If(even, Seq(inc), Seq(dbl)))},
+      {"for of if", For(4, If(even, Seq(inc), Seq(dbl)))},
+  };
+
+  ResizableThreadPool pool(1, 1);
+  Fnv1a h;
+  long snapshots = 0;
+  for (const EstimationScope scope :
+       {EstimationScope::kAggregate, EstimationScope::kPerDepth}) {
+    for (const auto& [name, skel] : skeletons) {
+      SCOPED_TRACE(name);
+      EstimateRegistry reg(0.5, scope);
+      TrackerSet ts(reg);
+      EventBus bus;
+      bus.add_listener(ts.as_listener());
+      bus.add_listener(std::make_shared<ObserverListener>([&](const Event&) {
+        hash_snapshot(h, ts.snapshot(clock.now()));
+        ++snapshots;
+      }));
+      Engine engine(pool, bus, &clock);
+      for (const int input : {5, 8, 3}) skel.input(input, engine).get();
+      EXPECT_TRUE(ts.root_finished());
+    }
+  }
+  EXPECT_GT(snapshots, 1000);
+  EXPECT_EQ(h.value(), 0x0f4301fa21dcaaa0ULL) << std::hex << "0x" << h.value();
 }
 
 TEST(TrackerSet, ResetForgetsTrackersButKeepsEstimates) {

@@ -19,6 +19,10 @@
    passes when bench/<name>.cpp exists. docs/perf.md is a dated log of
    measurements and is exempt: it names files as they were at the time.
 
+4. Source-comment check — every *.md path named in a comment of a src/
+   .hpp or .cpp file must exist, resolved from the repo root, so a comment
+   never points a reader at a document that is not there.
+
 Usage: tools/check_docs.py [repo_root]   (default: the repo containing this
 script). Exits nonzero with one line per problem.
 """
@@ -146,6 +150,33 @@ def check_paths(root):
     return checked, problems
 
 
+# A comment, or a string or character literal to skip (a literal may hold
+# "//"); only the comments are checked.
+COMMENT_RE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.S)
+MD_NAME_RE = re.compile(r"(?<![\w./-])([\w./-]+\.md)\b")
+
+
+def check_source_comments(root):
+    problems = []
+    checked = 0
+    files = sorted(glob.glob(os.path.join(root, "src", "**", "*.[hc]pp"),
+                             recursive=True))
+    for path in files:
+        text = open(path, encoding="utf-8").read()
+        for m in COMMENT_RE.finditer(text):
+            if not m.group(0).startswith("/"):
+                continue
+            for name in MD_NAME_RE.finditer(m.group(0)):
+                checked += 1
+                if not os.path.isfile(os.path.join(root, name.group(1))):
+                    line = text.count("\n", 0, m.start() + name.start()) + 1
+                    rel = os.path.relpath(path, root)
+                    problems.append(f"{rel}:{line}: comment names "
+                                    f"`{name.group(1)}`, which does not exist")
+    return checked, problems
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -154,12 +185,15 @@ def main():
     problems += check_architecture_coverage(root)
     paths, path_problems = check_paths(root)
     problems += path_problems
+    mds, md_problems = check_source_comments(root)
+    problems += md_problems
     if problems:
         for p in problems:
             print(f"FAIL {p}")
         return 1
     print(f"ok: {checked} relative links resolve; every src/* subsystem is "
-          f"covered by docs/architecture.md; {paths} named paths exist")
+          f"covered by docs/architecture.md; {paths} named paths exist; "
+          f"{mds} documents named in src/ comments exist")
     return 0
 
 
